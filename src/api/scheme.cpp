@@ -23,6 +23,33 @@ struct FaultPause {
   ~FaultPause() { F.resume(); }
 };
 
+/// A failed fiber's kind symbol (the prelude's #%exn-kind names, which
+/// match tripKindName's spellings) and back.
+const char *kindSymbolName(ErrorKind K) {
+  switch (K) {
+  case ErrorKind::HeapLimit:
+    return "heap-limit";
+  case ErrorKind::StackLimit:
+    return "stack-limit";
+  case ErrorKind::Timeout:
+    return "timeout";
+  case ErrorKind::Interrupt:
+    return "interrupt";
+  case ErrorKind::None:
+  case ErrorKind::Runtime:
+    break;
+  }
+  return "error";
+}
+
+ErrorKind errorKindOfSymbolName(const std::string &Name) {
+  for (ErrorKind K : {ErrorKind::HeapLimit, ErrorKind::StackLimit,
+                      ErrorKind::Timeout, ErrorKind::Interrupt})
+    if (Name == kindSymbolName(K))
+      return K;
+  return ErrorKind::Runtime;
+}
+
 } // namespace
 
 EngineOptions EngineOptions::forVariant(EngineVariant V) {
@@ -193,50 +220,58 @@ std::string SchemeEngine::metricsJson() const {
 }
 
 uint64_t SchemeEngine::spawnFiberJob(const std::string &Source,
-                                     uint64_t BudgetNs, uint64_t DeadlineNs,
-                                     uint64_t DelayNs,
+                                     const EngineLimits &L, uint64_t JobId,
+                                     uint64_t DeadlineNs, uint64_t DelayNs,
                                      std::string *CompileErr) {
-  Heap &H = Machine.heap();
-  FaultPause Pause(Machine.faults());
-  std::string ReadError;
-  RootedValues Forms(H);
-  {
-    std::vector<Value> Raw = readAllFromString(H, Source, &ReadError);
-    if (!ReadError.empty()) {
+  // Like eval, a host out-of-memory while reading or compiling fails the
+  // job rather than unwinding into the worker.
+  try {
+    Heap &H = Machine.heap();
+    FaultPause Pause(Machine.faults());
+    std::string ReadError;
+    RootedValues Forms(H);
+    {
+      std::vector<Value> Raw = readAllFromString(H, Source, &ReadError);
+      if (!ReadError.empty()) {
+        if (CompileErr)
+          *CompileErr = "read error: " + ReadError;
+        return 0;
+      }
+      for (Value V : Raw)
+        Forms.push(V);
+    }
+    // Compile every toplevel form up front to a closure; the fiber runs the
+    // list through the prelude's #%run-thunks when it is first scheduled.
+    RootedValues Thunks(H);
+    for (size_t I = 0; I < Forms.size(); ++I) {
+      std::string CompileError;
+      Value Code = Comp.compileToplevel(Forms[I], &CompileError);
+      if (!CompileError.empty()) {
+        if (CompileErr)
+          *CompileErr = "compile error: " + CompileError;
+        return 0;
+      }
+      GCRoot CodeRoot(H, Code);
+      Thunks.push(H.makeClosure(CodeRoot.get(), 0));
+    }
+    GCRoot ThunkList(H, Value::nil());
+    for (size_t I = Thunks.size(); I > 0; --I)
+      ThunkList.set(H.makePair(Thunks[I - 1], ThunkList.get()));
+    Value Runner = Machine.getGlobal("#%run-thunks");
+    if (!Runner.isClosure()) {
       if (CompileErr)
-        *CompileErr = "read error: " + ReadError;
+        *CompileErr = "#%run-thunks is not defined (prelude not loaded)";
       return 0;
     }
-    for (Value V : Raw)
-      Forms.push(V);
-  }
-  // Compile every toplevel form up front to a closure; the fiber runs the
-  // list through the prelude's #%run-thunks when it is first scheduled.
-  RootedValues Thunks(H);
-  for (size_t I = 0; I < Forms.size(); ++I) {
-    std::string CompileError;
-    Value Code = Comp.compileToplevel(Forms[I], &CompileError);
-    if (!CompileError.empty()) {
-      if (CompileErr)
-        *CompileErr = "compile error: " + CompileError;
-      return 0;
-    }
-    GCRoot CodeRoot(H, Code);
-    Thunks.push(H.makeClosure(CodeRoot.get(), 0));
-  }
-  GCRoot ThunkList(H, Value::nil());
-  for (size_t I = Thunks.size(); I > 0; --I)
-    ThunkList.set(H.makePair(Thunks[I - 1], ThunkList.get()));
-  Value Runner = Machine.getGlobal("#%run-thunks");
-  if (!Runner.isClosure()) {
+    GCRoot ArgsList(H, H.makePair(ThunkList.get(), Value::nil()));
+    Value FV = Machine.Fibers.spawnJob(Machine, Runner, ArgsList.get(), L,
+                                       JobId, DeadlineNs, DelayNs);
+    return asFiber(FV)->Id;
+  } catch (const ResourceExhausted &Ex) {
     if (CompileErr)
-      *CompileErr = "#%run-thunks is not defined (prelude not loaded)";
+      *CompileErr = Ex.What;
     return 0;
   }
-  GCRoot ArgsList(H, H.makePair(ThunkList.get(), Value::nil()));
-  Value FV = Machine.Fibers.spawnJob(Machine, Runner, ArgsList.get(),
-                                     BudgetNs, DeadlineNs, DelayNs);
-  return asFiber(FV)->Id;
 }
 
 Value SchemeEngine::runFiberSlice() {
@@ -252,7 +287,9 @@ Value SchemeEngine::runFiberSlice() {
   bool Ok = false;
   Value V;
   try {
-    V = Machine.applyProcedure(Slice, nullptr, 0, Ok);
+    // The slice glue needs a handful of slots; fibers boot and resume on
+    // segments of their own.
+    V = Machine.applyProcedure(Slice, nullptr, 0, Ok, /*BaseSlots=*/256);
   } catch (const ResourceExhausted &Ex) {
     LastError = Ex.What;
     LastErrKind = errorKindOf(Ex.Kind);
@@ -270,6 +307,11 @@ Value SchemeEngine::runFiberSlice() {
   return V;
 }
 
+void SchemeEngine::failCurrentFiber() {
+  Value KindSym = Machine.heap().intern(kindSymbolName(LastErrKind));
+  Machine.Fibers.failCurrent(Machine, LastError, KindSym);
+}
+
 std::vector<FiberJobInfo> SchemeEngine::takeFinishedFiberJobs() {
   std::vector<FiberJobInfo> Out;
   Value ExnSym = Machine.heap().intern("#%exn");
@@ -279,6 +321,11 @@ std::vector<FiberJobInfo> SchemeEngine::takeFinishedFiberJobs() {
     Info.Id = F->Id;
     Info.Ok = !F->erred();
     Info.RunNs = F->RunNs;
+    if (ResourceAccount *A = F->Account) {
+      Info.FaultsInjected = A->FaultsInjected;
+      Machine.heap().releaseAccount(A);
+      F->Account = nullptr;
+    }
     if (F->erred()) {
       // Thrown exn records carry their message at slot 1; anything else
       // thrown is reported by its written form.
@@ -290,10 +337,8 @@ std::vector<FiberJobInfo> SchemeEngine::takeFinishedFiberJobs() {
         Info.Output = displayToString(R);
       else
         Info.Output = writeToString(R);
-      if (F->ErrKindSym.isSymbol())
-        Info.Kind = displayToString(F->ErrKindSym);
-      else
-        Info.Kind = "error";
+      Info.Kind = errorKindOfSymbolName(
+          F->ErrKindSym.isSymbol() ? displayToString(F->ErrKindSym) : "error");
     } else {
       Info.Output = writeToString(F->Result);
     }

@@ -50,14 +50,16 @@ struct EngineOptions {
   static EngineOptions forVariant(EngineVariant V);
 };
 
-/// A finished cooperative job collected from the fiber scheduler
-/// (see vm/fibers.h and takeFinishedFiberJobs()).
+/// A finished pool job collected from the fiber scheduler (see
+/// vm/fibers.h and takeFinishedFiberJobs()).
 struct FiberJobInfo {
   uint64_t Id = 0;
   bool Ok = false;
   std::string Output; ///< Written result, or the error message when !Ok.
-  std::string Kind;   ///< Error kind symbol name ("" when Ok).
+  ErrorKind Kind = ErrorKind::None; ///< Classification when !Ok.
   uint64_t RunNs = 0; ///< On-CPU nanoseconds; parked time is excluded.
+  /// Faults injected while the job's fibers ran (support/faults.h).
+  uint64_t FaultsInjected = 0;
 };
 
 class SchemeEngine {
@@ -164,38 +166,50 @@ public:
   std::string metricsText() const;
   std::string metricsJson() const;
 
-  /// --- Cooperative fiber jobs (vm/fibers.h, DESIGN.md section 16) ------
+  /// --- Pool jobs as fibers (vm/fibers.h, DESIGN.md section 16) ---------
   ///
-  /// In fiber-pool mode a worker multiplexes many jobs over one engine:
-  /// spawnFiberJob() admits a job as a fiber, runFiberSlice() runs fibers
-  /// until everything is parked or a job finishes, and
-  /// takeFinishedFiberJobs() collects results. Parked jobs hold no engine
-  /// and burn no budget.
+  /// A pool worker runs every job as a fiber over its one engine:
+  /// spawnFiberJob() admits a job, runFiberSlice() runs fibers until a job
+  /// finishes (or, cooperatively, until everything is parked), and
+  /// takeFinishedFiberJobs() collects results. Parked jobs burn no budget.
 
-  /// Switches the scheduler to cooperative pool mode: slices retire to the
-  /// host instead of blocking in idleWait, and governance preserves
-  /// pending interrupts across slice boundaries.
-  void enableFiberPool() { Machine.Fibers.CoopPool = true; }
+  /// Makes this a pool worker's engine: finished job fibers retire the
+  /// slice to the host, and governance preserves pending interrupts
+  /// across slice boundaries. \p Cooperative slices also retire when
+  /// everything is parked instead of blocking in idleWait, so a parked job
+  /// holds no worker thread.
+  void enableFiberPool(bool Cooperative) {
+    Machine.Fibers.PoolHost = true;
+    Machine.Fibers.CoopPool = Cooperative;
+  }
 
   /// Compiles \p Source and spawns it as a job fiber (thunk list run by
-  /// the prelude's #%run-thunks). Returns the fiber id, or 0 on a
-  /// compile/read error (reported via \p CompileErr). \p DelayNs > 0
-  /// schedules the first run after a backoff (retry support).
-  uint64_t spawnFiberJob(const std::string &Source, uint64_t BudgetNs,
-                         uint64_t DeadlineNs, uint64_t DelayNs,
+  /// the prelude's #%run-thunks) governed by \p L: TimeoutMs budgets its
+  /// on-CPU time, the heap and segment budgets its own account. Returns
+  /// the fiber id, or 0 on a compile/read error (reported via
+  /// \p CompileErr). \p DelayNs > 0 schedules the first run after a
+  /// backoff (retry support).
+  uint64_t spawnFiberJob(const std::string &Source, const EngineLimits &L,
+                         uint64_t JobId, uint64_t DeadlineNs, uint64_t DelayNs,
                          std::string *CompileErr);
 
-  /// Runs one scheduler slice: fibers execute until all are parked or a
-  /// job retires. Returns the slice status symbol ('idle when nothing was
-  /// runnable, 'retire after a job finished); on a fatal engine error
-  /// returns undefined with ok() false.
+  /// Runs one scheduler slice: fibers execute until a job retires or, on a
+  /// cooperative engine, all are parked. Returns the slice status symbol
+  /// ('idle when nothing was runnable, 'retire after a job finished); on
+  /// an engine error returns undefined with ok() false.
   Value runFiberSlice();
 
-  /// Collects jobs finished since the last call.
+  /// A hard (uncatchable) VM error failed the last slice while a fiber was
+  /// switched in: records it as that fiber's failure, classified by
+  /// lastErrorKind(). The scheduler and every other fiber stay intact.
+  void failCurrentFiber();
+
+  /// Collects jobs finished since the last call, releasing their accounts.
   std::vector<FiberJobInfo> takeFinishedFiberJobs();
 
   bool fiberHasRunnable() const { return Machine.Fibers.hasRunnable(); }
-  uint64_t fiberLiveCount() const { return Machine.Fibers.liveFibers(); }
+  /// Id of the fiber switched in when the last slice failed (0 for none).
+  uint64_t currentFiberId() const { return Machine.Fibers.currentId(); }
   /// Nanoseconds until the earliest parked deadline (0 when no timers).
   uint64_t fiberNextTimerDelayNs() const {
     return Machine.Fibers.nextTimerDelayNs();
@@ -209,7 +223,6 @@ public:
     return (Machine.AsyncSignals.load(std::memory_order_relaxed) &
             VM::SigInterrupt) != 0;
   }
-  FiberScheduler &fibers() { return Machine.Fibers; }
 
   /// Protects a value from collection for the engine's lifetime.
   void protect(Value V) { Machine.addPermanentRoot(V); }

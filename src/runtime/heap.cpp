@@ -102,6 +102,17 @@ uint64_t fnv1a(const char *Data, uint32_t Len) {
 }
 
 size_t sizeClassOf(size_t RoundedBytes) { return RoundedBytes / 16 - 1; }
+
+/// Retires \p G's emergency grants once usage (\p Bytes, \p Segments) is
+/// back under \p L's budgets, so the next exhaustion trips again.
+void rearmGrants(BudgetGrants &G, const EngineLimits *L, uint64_t Bytes,
+                 uint32_t Segments) {
+  if (G.HeadroomActive && (!L || L->HeapBytes == 0 || Bytes <= L->HeapBytes))
+    G.HeadroomActive = false;
+  if (G.ReserveActive && (!L || L->MaxLiveSegments == 0 ||
+                          Segments < L->MaxLiveSegments))
+    G.ReserveActive = false;
+}
 } // namespace
 
 GCRoot::GCRoot(Heap &H, Value V) : H(H), V(V) { H.TempRoots.push_back(this); }
@@ -191,29 +202,36 @@ void Heap::checkHeapBudget(size_t Rounded) {
   // Failing fault sites: pretend this allocation exhausted the budget.
   if (CMK_FAULT(FaultsPtr, Oom))
     injectHeapTrip();
+  if (LimitsPtr && LimitsPtr->HeapBytes)
+    checkByteBudget(BytesInUse, *LimitsPtr, EngineGrants, Rounded);
+  if (CurAccount && CurAccount->Limits.HeapBytes)
+    checkByteBudget(CurAccount->Bytes, CurAccount->Limits, CurAccount->Grants,
+                    Rounded);
+}
 
-  if (!LimitsPtr || LimitsPtr->HeapBytes == 0)
-    return;
-  uint64_t Budget = LimitsPtr->HeapBytes;
-  if (BytesInUse + Rounded <= Budget)
+void Heap::checkByteBudget(const uint64_t &Used, const EngineLimits &L,
+                           BudgetGrants &G, size_t Rounded) {
+  uint64_t Budget = L.HeapBytes;
+  if (Budget == 0 || Used + Rounded <= Budget)
     return;
 
-  // Pooled-but-free segments count against the budget (they are committed
-  // memory); before escalating to a collection or a headroom grant, give
-  // that slack back so a program cycling segments within its budget never
-  // trips just because the pool filled.
-  if (PooledSegCount != 0) {
+  // Pooled-but-free segments count against the engine's budget (they are
+  // committed memory; accounts never count them); before escalating to a
+  // collection or a headroom grant, give that slack back so a program
+  // cycling segments within its budget never trips just because the pool
+  // filled.
+  if (&Used == &BytesInUse && PooledSegCount != 0) {
     releasePooledSegments();
-    if (BytesInUse + Rounded <= Budget)
+    if (Used + Rounded <= Budget)
       return;
   }
 
-  if (!HeadroomActive) {
+  if (!G.HeadroomActive) {
     // Over budget for the first time: collecting may shed garbage that
-    // BytesInUse still counts.
+    // the usage still counts.
     if (!GCPaused && !InGC) {
       collect();
-      if (BytesInUse + Rounded <= Budget)
+      if (Used + Rounded <= Budget)
         return;
     }
     // Genuinely at the limit. Grant the headroom slab and leave a trip
@@ -224,30 +242,51 @@ void Heap::checkHeapBudget(size_t Rounded) {
     // uncollectable garbage may already put usage far past the budget,
     // and a budget-anchored slab would be spent before the first
     // allocation it was meant to cover.
-    HeadroomActive = true;
-    HeadroomBase = std::max(Budget, BytesInUse);
+    G.HeadroomActive = true;
+    G.HeadroomBase = std::max(Budget, Used);
     notePendingTrip(TripKind::HeapLimit);
     return;
   }
 
-  if (BytesInUse + Rounded <= HeadroomBase + LimitsPtr->HeapHeadroomBytes)
+  if (Used + Rounded <= G.HeadroomBase + L.HeapHeadroomBytes)
     return;
   // The headroom itself is nearly gone. One last collection can rescue a
   // program whose handler dropped references without a GC happening yet.
   if (!GCPaused && !InGC) {
     collect();
-    if (BytesInUse + Rounded <= Budget ||
-        (HeadroomActive &&
-         BytesInUse + Rounded <= HeadroomBase + LimitsPtr->HeapHeadroomBytes))
+    if (Used + Rounded <= Budget ||
+        (G.HeadroomActive &&
+         Used + Rounded <= G.HeadroomBase + L.HeapHeadroomBytes))
       return;
   }
   throw ResourceExhausted{TripKind::HeapLimit,
                           "heap limit exceeded beyond reserved headroom"};
 }
 
+void Heap::checkSegmentBudget(const uint32_t &Live, const EngineLimits &L,
+                              BudgetGrants &G) {
+  uint32_t Max = L.MaxLiveSegments;
+  if (Max == 0 || Live < Max)
+    return;
+  if (!G.ReserveActive) {
+    // Dead segments may still be counted; collect before tripping.
+    if (!GCPaused && !InGC)
+      collect();
+    if (Live >= Max) {
+      // At the limit: grant the reserve so the overflow in progress
+      // completes and the limit exception has stack to run on.
+      G.ReserveActive = true;
+      notePendingTrip(TripKind::StackLimit);
+    }
+  } else if (Live >= Max + L.ReserveSegments) {
+    throw ResourceExhausted{TripKind::StackLimit,
+                            "stack segment limit exceeded beyond reserve"};
+  }
+}
+
 void Heap::injectHeapTrip() {
-  HeadroomActive = true;
-  HeadroomBase =
+  EngineGrants.HeadroomActive = true;
+  EngineGrants.HeadroomBase =
       std::max(LimitsPtr ? LimitsPtr->HeapBytes : uint64_t(0), BytesInUse);
   notePendingTrip(TripKind::HeapLimit);
 }
@@ -261,14 +300,69 @@ void Heap::notePendingTrip(TripKind K) {
 
 void Heap::resetGovernance() {
   PendingTrip = TripKind::None;
-  if (HeadroomActive || ReserveActive) {
+  if (EngineGrants.HeadroomActive || EngineGrants.ReserveActive) {
     if (!GCPaused && !InGC)
       collect(); // Re-arms the grants below when usage is back under budget.
     // With no limit configured the grant is vestigial; always retire it.
     if (!LimitsPtr || LimitsPtr->HeapBytes == 0)
-      HeadroomActive = false;
+      EngineGrants.HeadroomActive = false;
     if (!LimitsPtr || LimitsPtr->MaxLiveSegments == 0)
-      ReserveActive = false;
+      EngineGrants.ReserveActive = false;
+  }
+}
+
+ResourceAccount *Heap::openAccount(const EngineLimits &L, uint64_t JobId) {
+  auto A = std::make_unique<ResourceAccount>();
+  A->Limits = L;
+  A->JobId = JobId;
+  A->Slot = static_cast<uint32_t>(Accounts.size());
+  Accounts.push_back(std::move(A));
+  return Accounts.back().get();
+}
+
+void Heap::releaseAccount(ResourceAccount *A) {
+  if (--A->Refs != 0)
+    return;
+  if (CurAccount == A)
+    CurAccount = nullptr;
+  // Swap-remove: the last account takes A's slot (A itself when last).
+  uint32_t Slot = A->Slot;
+  Accounts[Slot] = std::move(Accounts.back());
+  Accounts[Slot]->Slot = Slot;
+  Accounts.pop_back();
+}
+
+void Heap::setAccount(ResourceAccount *A) {
+  if (A == CurAccount)
+    return;
+  if (CurAccount) {
+    CurAccount->PendingTrip = PendingTrip;
+    PendingTrip = TripKind::None;
+  }
+  CurAccount = A;
+  if (A && A->PendingTrip != TripKind::None) {
+    TripKind T = A->PendingTrip;
+    A->PendingTrip = TripKind::None;
+    notePendingTrip(T);
+  }
+}
+
+void Heap::reclaimAccounts(uint64_t FreedBytes, uint64_t YoungBytes,
+                           uint64_t FreedSegments, uint64_t YoungSegments) {
+  auto Share = [](uint64_t Freed, uint64_t Young, uint64_t YoungTotal) {
+    if (YoungTotal == 0)
+      return uint64_t(0);
+    return static_cast<uint64_t>(static_cast<double>(Freed) *
+                                 static_cast<double>(Young) /
+                                 static_cast<double>(YoungTotal));
+  };
+  for (const std::unique_ptr<ResourceAccount> &A : Accounts) {
+    A->Bytes -=
+        std::min(A->Bytes, Share(FreedBytes, A->YoungBytes, YoungBytes));
+    A->Segments -= static_cast<uint32_t>(std::min<uint64_t>(
+        A->Segments, Share(FreedSegments, A->YoungSegments, YoungSegments)));
+    A->YoungBytes = A->YoungSegments = 0;
+    rearmGrants(A->Grants, &A->Limits, A->Bytes, A->Segments);
   }
 }
 
@@ -311,6 +405,7 @@ void *Heap::allocRaw(size_t Bytes, ObjKind Kind) {
   BytesSinceGC += Rounded;
   Stats.BytesAllocated += Rounded;
   BytesInUse += Rounded;
+  chargeBytes(Rounded);
   return Mem;
 }
 
@@ -353,6 +448,7 @@ void *Heap::allocNursery(size_t Bytes, ObjKind Kind) {
   BytesSinceGC += Rounded;
   Stats.BytesAllocated += Rounded;
   BytesInUse += Rounded;
+  chargeBytes(Rounded);
   CMK_STAT_DETAIL(VmStatsPtr, NurseryAllocs);
   return Mem;
 }
@@ -652,6 +748,10 @@ void Heap::sweepNursery(uint64_t &LiveBytes) {
 void Heap::collect() {
   InGC = true;
   ++Stats.Collections;
+  // Accounts are charged for what the mutator holds, pooled segments not
+  // included, so the yield they share is measured the same way.
+  uint64_t HeldBefore = BytesInUse - PooledSegBytes;
+  uint32_t SegmentsBefore = LiveSegments;
 
   for (GCRootSource *Src : RootSources)
     Src->traceRoots(*this);
@@ -665,17 +765,18 @@ void Heap::collect() {
   markFromWorklist();
   sweep();
 
+  if (!Accounts.empty()) {
+    uint64_t HeldAfter = BytesInUse - PooledSegBytes;
+    uint32_t FreedSegments =
+        SegmentsBefore > LiveSegments ? SegmentsBefore - LiveSegments : 0;
+    reclaimAccounts(HeldBefore > HeldAfter ? HeldBefore - HeldAfter : 0,
+                    BytesSinceGC, FreedSegments, SegmentsSinceGC);
+  }
   BytesSinceGC = 0;
+  SegmentsSinceGC = 0;
   GCThreshold = std::max<uint64_t>(InitialGCThreshold,
                                    Stats.LiveBytesAfterLastGC * 2);
-  // Re-arm governance: once a collection brings usage back under budget,
-  // retire the emergency grants so the next exhaustion trips again.
-  if (HeadroomActive && (!LimitsPtr || LimitsPtr->HeapBytes == 0 ||
-                         BytesInUse <= LimitsPtr->HeapBytes))
-    HeadroomActive = false;
-  if (ReserveActive && (!LimitsPtr || LimitsPtr->MaxLiveSegments == 0 ||
-                        LiveSegments < LimitsPtr->MaxLiveSegments))
-    ReserveActive = false;
+  rearmGrants(EngineGrants, LimitsPtr, BytesInUse, LiveSegments);
   InGC = false;
 }
 
@@ -784,24 +885,11 @@ Value Heap::makeStackSeg(uint32_t CapacitySlots) {
   // every overflowed segment live through the underflow-record chain, so
   // counting live segments bounds stack growth without caring how the
   // depth was reached (plain recursion, captured continuations, ...).
-  if (LimitsPtr && LimitsPtr->MaxLiveSegments != 0 &&
-      LiveSegments >= LimitsPtr->MaxLiveSegments) {
-    if (!ReserveActive) {
-      // Dead segments may still be counted; collect before tripping.
-      if (!GCPaused && !InGC)
-        collect();
-      if (LiveSegments >= LimitsPtr->MaxLiveSegments) {
-        // At the limit: grant the reserve so the overflow in progress
-        // completes and the limit exception has stack to run on.
-        ReserveActive = true;
-        notePendingTrip(TripKind::StackLimit);
-      }
-    } else if (LiveSegments >=
-               LimitsPtr->MaxLiveSegments + LimitsPtr->ReserveSegments) {
-      throw ResourceExhausted{TripKind::StackLimit,
-                              "stack segment limit exceeded beyond reserve"};
-    }
-  }
+  if (LimitsPtr && LimitsPtr->MaxLiveSegments)
+    checkSegmentBudget(LiveSegments, *LimitsPtr, EngineGrants);
+  if (CurAccount && CurAccount->Limits.MaxLiveSegments)
+    checkSegmentBudget(CurAccount->Segments, CurAccount->Limits,
+                       CurAccount->Grants);
   size_t Bytes = sizeof(StackSegObj) + sizeof(Value) * CapacitySlots;
   size_t Rounded = (Bytes + 15) & ~size_t(15);
 
@@ -809,6 +897,7 @@ Value Heap::makeStackSeg(uint32_t CapacitySlots) {
   // and counted, so it bypasses the allocation governance entirely.
   if (StackSegObj *S = popPooledSeg(Rounded, CapacitySlots)) {
     ++LiveSegments;
+    chargeSegment(S->H.SizeBytes);
     if (VmStatsPtr)
       ++VmStatsPtr->SegmentRecycles;
     CMK_TRACE_EV_P(TraceBufPtr, SegmentRecycle, CapacitySlots);
@@ -835,6 +924,7 @@ Value Heap::makeStackSeg(uint32_t CapacitySlots) {
   BytesInUse += Rounded;
   S->Capacity = CapacitySlots;
   ++LiveSegments;
+  chargeSegment(Rounded);
   if (VmStatsPtr) {
     ++VmStatsPtr->SegmentAllocs;
     VmStatsPtr->SegmentSlotsAllocated += CapacitySlots;
@@ -908,10 +998,16 @@ void Heap::recycleStackSeg(Value SegV) {
   StackSegObj *S = asStackSeg(SegV);
   if (S->H.Flags & (objflags::SegPinned | objflags::SegPooled))
     return;
-  if (S->RecordRefs != 0)
+  if (S->RecordRefs != 0 || !pushPooledSeg(S))
     return;
-  if (pushPooledSeg(S) && LiveSegments > 0)
+  if (LiveSegments > 0)
     --LiveSegments;
+  // Vacate paths run in the fiber that held the segment: credit it now.
+  if (CurAccount) {
+    CurAccount->Bytes -= std::min<uint64_t>(CurAccount->Bytes, S->H.SizeBytes);
+    if (CurAccount->Segments > 0)
+      --CurAccount->Segments;
+  }
 }
 
 void Heap::releasePooledSegments() {
@@ -963,6 +1059,7 @@ Value Heap::makeFiber(Value Thunk, Value ArgsList, uint64_t Id) {
   F->RunNs = 0;
   F->BudgetNs = 0;
   F->JobDeadlineNs = 0;
+  F->Account = nullptr;
   F->Thunk = R1.get();
   F->ArgsList = R2.get();
   F->Cont = Value::undefined();

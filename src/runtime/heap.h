@@ -22,6 +22,7 @@
 #include "support/limits.h"
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,47 @@ private:
   friend class Heap;
   Heap &H;
   std::vector<Value> Vals;
+};
+
+/// Emergency grants of one budget holder (the engine, or a job account):
+/// the heap headroom slab and the segment reserve, each granted once when
+/// its budget trips and retired when a collection brings usage back under.
+struct BudgetGrants {
+  bool HeadroomActive = false; ///< Heap headroom slab granted.
+  /// Usage level the active headroom slab was granted at (>= the byte
+  /// budget). The slab covers HeadroomBase + HeapHeadroomBytes so it is
+  /// real slack even when granted with GC paused and garbage-inflated
+  /// usage already far past the budget.
+  uint64_t HeadroomBase = 0;
+  bool ReserveActive = false; ///< Segment reserve granted.
+};
+
+/// One pool job's share of the heap (DESIGN.md §16). While an account is
+/// current (Heap::setAccount; the fiber scheduler switches it with the
+/// running fiber), every heap byte and stack segment the mutator takes is
+/// charged to it and checked against the account's own EngineLimits, so a
+/// trip is raised in the fiber whose budget was overrun, never in a
+/// co-resident bystander. Segments handed back to the recycling pool are
+/// credited at once. A collection cannot tell which account owned a
+/// reclaimed object: it credits each account with a share of what it
+/// reclaimed in proportion to what the account took since the previous
+/// collection, since garbage is mostly young.
+struct ResourceAccount {
+  /// HeapBytes/HeapHeadroomBytes, MaxLiveSegments/ReserveSegments, and
+  /// FuelInterval apply; TimeoutMs is the scheduler's per-fiber budget.
+  EngineLimits Limits;
+  uint64_t JobId = 0;       ///< Owning pool job (labels its trace spans).
+  uint64_t Bytes = 0;       ///< Heap bytes charged (pooled segments excluded).
+  uint32_t Segments = 0;    ///< Live stack segments charged.
+  uint64_t YoungBytes = 0;  ///< Charged since the last collection.
+  uint64_t YoungSegments = 0;
+  uint64_t FaultsInjected = 0; ///< Injected faults while its fibers ran.
+  BudgetGrants Grants;
+  /// A trip raised for this account but not yet delivered when its fiber
+  /// switched out; it is re-armed when one of its fibers switches back in.
+  TripKind PendingTrip = TripKind::None;
+  uint32_t Refs = 1; ///< Fibers holding the account (FiberObj::Account).
+  uint32_t Slot = 0; ///< Index in the heap's account table.
 };
 
 /// Statistics exposed for tests and the benchmark harness.
@@ -233,8 +275,21 @@ public:
   /// grants so the next exhaustion trips again.
   void resetGovernance();
 
-  bool heapHeadroomActive() const { return HeadroomActive; }
-  bool segmentReserveActive() const { return ReserveActive; }
+  bool heapHeadroomActive() const { return EngineGrants.HeadroomActive; }
+  bool segmentReserveActive() const { return EngineGrants.ReserveActive; }
+
+  // --- Per-job accounts (fiber pool) ----------------------------------------
+
+  /// Opens an account governed by \p L, held once by the caller.
+  ResourceAccount *openAccount(const EngineLimits &L, uint64_t JobId);
+  void retainAccount(ResourceAccount *A) { ++A->Refs; }
+  /// Drops one hold; the last one frees the account.
+  void releaseAccount(ResourceAccount *A);
+  /// Makes \p A (or none) the account charged for allocation. A pending
+  /// trip moves with its account, so it is delivered to the fiber that
+  /// overran the budget.
+  void setAccount(ResourceAccount *A);
+  ResourceAccount *account() const { return CurAccount; }
 
 private:
   friend class GCRoot;
@@ -258,9 +313,35 @@ private:
   /// reports exhaustion by throwing ResourceExhausted instead of
   /// dereferencing null or aborting.
   void *checkedMalloc(size_t Bytes, const char *What);
-  /// Enforces the heap byte budget for an allocation of \p Rounded bytes;
-  /// may collect, grant headroom + set a pending trip, or throw.
+  /// Enforces the engine's and the current account's heap byte budgets for
+  /// an allocation of \p Rounded bytes.
   void checkHeapBudget(size_t Rounded);
+  /// Enforces \p L's byte budget on \p Used (the engine's bytes in use, or
+  /// an account's charge; both shrink when this collects): may collect,
+  /// grant \p G's headroom + set a pending trip, or throw.
+  void checkByteBudget(const uint64_t &Used, const EngineLimits &L,
+                       BudgetGrants &G, size_t Rounded);
+  /// The same for \p L's live-segment budget and \p G's reserve.
+  void checkSegmentBudget(const uint32_t &Live, const EngineLimits &L,
+                          BudgetGrants &G);
+  /// Charges the current account for \p Bytes / one segment taken.
+  void chargeBytes(uint64_t Bytes) {
+    if (CurAccount) {
+      CurAccount->Bytes += Bytes;
+      CurAccount->YoungBytes += Bytes;
+    }
+  }
+  void chargeSegment(uint64_t Bytes) {
+    ++SegmentsSinceGC;
+    chargeBytes(Bytes);
+    if (CurAccount) {
+      ++CurAccount->Segments;
+      ++CurAccount->YoungSegments;
+    }
+  }
+  /// Credits every account with its young share of a collection's yield.
+  void reclaimAccounts(uint64_t FreedBytes, uint64_t YoungBytes,
+                       uint64_t FreedSegments, uint64_t YoungSegments);
   /// Records a trip for the VM's next safe point (first kind wins) and
   /// zeroes the attached fuel so that safe point arrives immediately.
   void notePendingTrip(TripKind K);
@@ -319,13 +400,10 @@ private:
   uint64_t BytesInUse = 0;   ///< Committed object bytes (incl. garbage).
   uint32_t LiveSegments = 0; ///< Live StackSeg objects.
   TripKind PendingTrip = TripKind::None;
-  bool HeadroomActive = false; ///< Heap headroom slab granted.
-  /// Usage level the active headroom slab was granted at (>= the byte
-  /// budget). The slab covers HeadroomBase + HeapHeadroomBytes so it is
-  /// real slack even when granted with GC paused and garbage-inflated
-  /// usage already far past the budget.
-  uint64_t HeadroomBase = 0;
-  bool ReserveActive = false;  ///< Segment reserve granted.
+  BudgetGrants EngineGrants;
+  std::vector<std::unique_ptr<ResourceAccount>> Accounts;
+  ResourceAccount *CurAccount = nullptr;
+  uint64_t SegmentsSinceGC = 0; ///< Segments handed out since the last GC.
 };
 
 /// RAII wrapper for Heap::pauseGC/resumeGC.

@@ -427,6 +427,8 @@ enum class FiberState : uint16_t {
   Done = 4,
 };
 
+struct ResourceAccount; // runtime/heap.h
+
 /// A green thread: a captured one-shot continuation plus the scheduler
 /// bookkeeping to suspend and resume it. The mark and winder context of
 /// the fiber rides inside the captured record chain, so switching fibers
@@ -442,6 +444,9 @@ struct FiberObj {
                      ///< as the VM deadline at each switch-in, so a parked
                      ///< fiber never burns its timeout budget.
   uint64_t JobDeadlineNs; ///< Absolute wall-clock pool-job deadline (0=none).
+  /// Pool job's account its heap use is charged to (runtime/heap.h), held
+  /// by the fiber; null outside the pool. Sub-fibers share their job's.
+  ResourceAccount *Account;
   Value Thunk;      ///< Entry procedure (only meaningful while Fresh).
   Value ArgsList;   ///< Argument list for Thunk.
   Value Cont;       ///< Captured continuation while Parked/Runnable-resumed.

@@ -34,6 +34,9 @@ namespace cmk {
 /// Per-engine resource limits. A zero value disables that limit. Lives in
 /// VMConfig so the embedding API and the REPL share one plumbing path;
 /// fields may be adjusted between runs through SchemeEngine::limits().
+/// An EnginePool job carries its own: there TimeoutMs budgets the job's
+/// on-CPU time, and the heap and segment budgets count what the job's own
+/// fibers take (runtime/heap.h ResourceAccount).
 struct EngineLimits {
   /// Byte budget for live + recently-allocated heap objects. 0 = none.
   uint64_t HeapBytes = 0;

@@ -23,39 +23,6 @@ void accumulateStats(VMStats &Agg, const VMStats &Delta) {
     Agg.*(Table[I].Field) += Delta.*(Table[I].Field);
 }
 
-/// Maps a finished fiber job's error-kind name (the prelude's #%exn-kind
-/// symbols) back to the typed classification the pool's futures carry.
-ErrorKind errorKindOfFiberKind(const std::string &Kind) {
-  if (Kind == "heap-limit")
-    return ErrorKind::HeapLimit;
-  if (Kind == "stack-limit")
-    return ErrorKind::StackLimit;
-  if (Kind == "timeout")
-    return ErrorKind::Timeout;
-  if (Kind == "interrupt")
-    return ErrorKind::Interrupt;
-  return ErrorKind::Runtime;
-}
-
-/// The kind name used when the pool must classify a failed slice itself
-/// (inverse of errorKindOfFiberKind, matching tripKindName's spellings).
-const char *fiberKindOfErrorKind(ErrorKind K) {
-  switch (K) {
-  case ErrorKind::HeapLimit:
-    return "heap-limit";
-  case ErrorKind::StackLimit:
-    return "stack-limit";
-  case ErrorKind::Timeout:
-    return "timeout";
-  case ErrorKind::Interrupt:
-    return "interrupt";
-  case ErrorKind::None:
-  case ErrorKind::Runtime:
-    break;
-  }
-  return "error";
-}
-
 } // namespace
 
 const char *cmk::jobOutcomeName(JobOutcome O) {
@@ -176,6 +143,10 @@ std::unique_ptr<SchemeEngine> EnginePool::buildWorkerEngine(
   // inject in lockstep; the salt keeps schedules distinct but still a
   // pure function of (spec, worker, incarnation).
   E->faults().reseed(static_cast<uint64_t>(Idx) * 1000003u + Incarnation);
+  // Jobs carry their own budgets (per-fiber time, per-account heap and
+  // segments); the engine itself stays ungoverned.
+  E->limits() = EngineLimits();
+  E->enableFiberPool(Opts.EnableFibers);
   if (Opts.TraceCapacity)
     E->startTrace(Opts.TraceCapacity);
   if (Opts.ProfileHz)
@@ -209,76 +180,304 @@ void EnginePool::retireEngine(SchemeEngine &Engine, unsigned Idx) {
 }
 
 void EnginePool::workerMain(unsigned Idx) {
-  if (Opts.EnableFibers) {
-    workerFiberMain(Idx);
-    return;
-  }
+  // The one worker loop (DESIGN.md §16): every job runs as a fiber on this
+  // worker's engine, under its own budgets. Blocking mode admits one job
+  // at a time, whose waits block the worker inside its slice; fiber mode
+  // admits up to MaxFibersPerWorker and parks their waits.
+  const uint32_t Cap = !Opts.EnableFibers             ? 1
+                       : Opts.MaxFibersPerWorker != 0 ? Opts.MaxFibersPerWorker
+                                                      : 64;
   uint32_t Incarnation = 0;
   std::unique_ptr<SchemeEngine> Engine = buildWorkerEngine(Idx, Incarnation);
+  WorkerShard &S = *Shards[Idx];
+
+  /// One admitted job, keyed by its current fiber id (a retry respawns it
+  /// under a fresh id).
+  struct ActiveJob {
+    Job J;
+    uint64_t WaitNs = 0;
+    uint32_t Attempt = 1;
+    /// Compile plus on-CPU ns, summed across attempts: parked time is
+    /// exactly what is not charged.
+    uint64_t RunNs = 0;
+  };
+  std::map<uint64_t, ActiveJob> Active;
+  std::vector<std::pair<ActiveJob, JobResult>> Finished;
+  uint64_t Retries = 0;
+  VMStats StatsMark = Engine->stats();
   uint32_t ConsecutiveFatal = 0;
   bool BreakerOpened = false;
-  for (;;) {
-    Job J;
-    {
-      std::unique_lock<std::mutex> L(QueueMu);
-      NotEmpty.wait(L, [&] { return Stopping || !Queue.empty(); });
-      if (Queue.empty())
-        break; // Stopping with nothing left to do.
-      if (Stopping && !DrainOnStop)
-        break; // Leave queued jobs for shutdown() to reject.
-      J = std::move(Queue.front());
-      Queue.pop_front();
-    }
-    NotFull.notify_one();
 
-    uint64_t DequeueNs = nowNanos();
-    uint64_t WaitNs = DequeueNs > J.EnqueueNs ? DequeueNs - J.EnqueueNs : 0;
-    if (Opts.QueueWaitBudgetMs)
-      noteQueueWait(WaitNs / 1000);
-    if (J.DeadlineNs && DequeueNs >= J.DeadlineNs) {
-      // Shed from the queue without running: the deadline already passed,
-      // so any work done now is wasted and delays live jobs behind it.
-      expireJob(J, Idx, WaitNs);
-      ConsecutiveFatal = 0;
-      continue;
-    }
-
-    if (!runJob(*Engine, J, Idx, WaitNs)) {
-      ConsecutiveFatal = 0;
-      continue;
-    }
-
-    // Fatal failure: the job burned through its reserve, so per-run
-    // governance can no longer vouch for this engine. Supervise.
-    ++ConsecutiveFatal;
-    WorkerShard &S = *Shards[Idx];
-    if (Opts.BreakerThreshold && ConsecutiveFatal >= Opts.BreakerThreshold) {
-      std::lock_guard<std::mutex> L(S.Mu);
-      ++S.BreakerOpens;
-      BreakerOpened = true;
-      break;
-    }
+  auto AbortRequested = [&] {
+    std::lock_guard<std::mutex> L(QueueMu);
+    return Stopping && !DrainOnStop;
+  };
+  auto Fail = [&](ActiveJob A, JobOutcome O, std::string Err, ErrorKind K) {
+    JobResult R;
+    R.Outcome = O;
+    R.Error = std::move(Err);
+    R.Kind = K;
+    Finished.emplace_back(std::move(A), std::move(R));
+  };
+  auto FailAllActive = [&](JobOutcome O, const std::string &Err,
+                           ErrorKind K) {
+    for (auto &KV : Active)
+      Fail(std::move(KV.second), O, Err, K);
+    Active.clear();
+  };
+  // Compiles attempt A.Attempt and spawns it to first run after DelayNs;
+  // a source that does not read or compile fails the job right here.
+  auto Spawn = [&](ActiveJob A, uint64_t DelayNs) {
+    std::string Err;
     uint64_t T0 = nowNanos();
-    {
-      std::lock_guard<std::mutex> L(EnginesMu);
-      Engines[Idx] = nullptr;
-    }
-    retireEngine(*Engine, Idx);
-    Engine.reset();
-    ++Incarnation;
-    Engine = buildWorkerEngine(Idx, Incarnation);
-    TraceBuffer &TB = Engine->vm().trace();
-    if (TB.Enabled) {
-      // The rebuild predates the replacement ring's epoch, so the span
-      // renders at the epoch with the true duration carried in Arg.
-      TB.record(TraceEv::WorkerRestartBegin, Idx);
-      TB.record(TraceEv::WorkerRestartEnd, nowNanos() - T0);
-    }
+    uint64_t FiberId = Engine->spawnFiberJob(A.J.Source, A.J.Limits, A.J.Id,
+                                             A.J.DeadlineNs, DelayNs, &Err);
+    A.RunNs += nowNanos() - T0;
+    if (FiberId)
+      Active.emplace(FiberId, std::move(A));
+    else
+      Fail(std::move(A), JobOutcome::Error, std::move(Err),
+           ErrorKind::Runtime);
+  };
+  // The one retry rule: only a transient failure re-runs — an interrupt
+  // eviction, an attempt that saw injected faults, or a job lost with a
+  // co-resident's dying engine — after a deterministic backoff, never past
+  // its deadline or during a non-drain shutdown. Returns the backoff in
+  // ns, or -1 for no retry.
+  auto RetryDelayNs = [&](const ActiveJob &A, bool Transient) -> int64_t {
+    uint32_t MaxAttempts = A.J.Retry.MaxAttempts ? A.J.Retry.MaxAttempts : 1;
+    if (!Transient || A.Attempt >= MaxAttempts || AbortRequested())
+      return -1;
+    uint64_t BackoffNs = retryBackoffMs(A.J.Retry, A.J.Id, A.Attempt) * 1000000;
+    if (A.J.DeadlineNs && nowNanos() + BackoffNs >= A.J.DeadlineNs)
+      return -1; // The retry could not finish in time anyway.
+    return static_cast<int64_t>(BackoffNs);
+  };
+  // Re-runs A after DelayNs; the scheduler's timer wheel serves as the
+  // backoff sleep.
+  auto Retry = [&](ActiveJob A, int64_t DelayNs) {
+    ++A.Attempt;
+    ++Retries;
+    Spawn(std::move(A), static_cast<uint64_t>(DelayNs));
+  };
+  // Retires the finished jobs: their outcome counters, histogram samples,
+  // and the engine-stats delta that produced them publish in one shard
+  // critical section (the consistency model in pool.h), then the futures
+  // resolve.
+  auto Publish = [&] {
+    VMStats Now = Engine->stats();
+    VMStats Delta = Now.delta(StatsMark);
+    StatsMark = Now;
+    uint64_t Rejected = 0;
     {
       std::lock_guard<std::mutex> L(S.Mu);
-      ++S.WorkerRestarts;
+      accumulateStats(S.Engines, Delta);
+      S.TraceDropped = S.TraceDroppedPrior + Engine->trace().dropped();
+      S.ProfileSamples = S.ProfileSamplesPrior + Engine->profiler().total();
+      S.ProfileDropped = S.ProfileDroppedPrior + Engine->profiler().dropped();
+      S.RetriesAttempted += Retries;
+      for (auto &[A, R] : Finished) {
+        if (R.Outcome == JobOutcome::Rejected) {
+          ++Rejected; // Counted pool-wide, like queued rejections.
+          continue;
+        }
+        S.QueueWaitUs.record(A.WaitNs / 1000);
+        S.RunUs.record(A.RunNs / 1000);
+        switch (R.Outcome) {
+        case JobOutcome::Ok:
+          ++S.JobsOk;
+          break;
+        case JobOutcome::TrippedHeap:
+          ++S.TrippedHeap;
+          break;
+        case JobOutcome::TrippedStack:
+          ++S.TrippedStack;
+          break;
+        case JobOutcome::TrippedTimeout:
+          ++S.TrippedTimeout;
+          break;
+        case JobOutcome::TrippedInterrupt:
+          ++S.TrippedInterrupt;
+          break;
+        default:
+          ++S.JobsError;
+        }
+        if (A.J.Degraded)
+          ++S.JobsDegraded;
+      }
     }
+    if (Rejected) {
+      std::lock_guard<std::mutex> L(StatsMu);
+      JobsRejected += Rejected;
+    }
+    Retries = 0;
+    for (auto &[A, R] : Finished) {
+      R.Ok = R.Outcome == JobOutcome::Ok;
+      R.Attempts = A.Attempt;
+      R.Worker = Idx;
+      R.Id = A.J.Id;
+      InFlight.fetch_sub(1, std::memory_order_relaxed);
+      A.J.Promise.set_value(std::move(R));
+    }
+    Finished.clear();
+  };
+
+  for (;;) {
+    if (AbortRequested())
+      break;
+
+    // Admit queued jobs into free slots.
+    while (Active.size() < Cap) {
+      Job J;
+      {
+        std::lock_guard<std::mutex> L(QueueMu);
+        if (Queue.empty())
+          break;
+        J = std::move(Queue.front());
+        Queue.pop_front();
+      }
+      NotFull.notify_one();
+      uint64_t DequeueNs = nowNanos();
+      uint64_t WaitNs = DequeueNs > J.EnqueueNs ? DequeueNs - J.EnqueueNs : 0;
+      if (Opts.QueueWaitBudgetMs)
+        noteQueueWait(WaitNs / 1000);
+      if (J.DeadlineNs && DequeueNs >= J.DeadlineNs) {
+        // Shed from the queue without running: the deadline already
+        // passed, so any work done now is wasted and delays live jobs.
+        expireJob(J, Idx, WaitNs);
+        continue;
+      }
+      InFlight.fetch_add(1, std::memory_order_relaxed);
+      ActiveJob A;
+      A.J = std::move(J);
+      A.WaitNs = WaitNs;
+      Spawn(std::move(A), 0);
+    }
+
+    if (Active.empty()) {
+      Publish(); // Jobs whose source did not compile.
+      std::unique_lock<std::mutex> L(QueueMu);
+      if (Stopping && Queue.empty())
+        break;
+      NotEmpty.wait(L, [&] { return Stopping || !Queue.empty(); });
+      continue;
+    }
+
+    // One scheduler slice: fibers run until a job retires or everything
+    // is parked (blocking mode: until its one job retires).
+    Value Status = Engine->runFiberSlice();
+    bool SliceFailed = !Engine->ok();
+    bool Fatal = SliceFailed && Engine->lastErrorFatal();
+    if (SliceFailed && !Fatal)
+      Engine->failCurrentFiber();
+    if (!SliceFailed)
+      ConsecutiveFatal = 0;
+
+    for (FiberJobInfo &Info : Engine->takeFinishedFiberJobs()) {
+      auto It = Active.find(Info.Id);
+      if (It == Active.end())
+        continue;
+      ActiveJob A = std::move(It->second);
+      Active.erase(It);
+      A.RunNs += Info.RunNs;
+      int64_t DelayNs = -1;
+      if (!Info.Ok)
+        DelayNs = RetryDelayNs(A, Info.Kind == ErrorKind::Interrupt ||
+                                      Info.FaultsInjected > 0);
+      if (DelayNs >= 0) {
+        Retry(std::move(A), DelayNs);
+        continue;
+      }
+      JobResult R;
+      R.Outcome = Info.Ok ? JobOutcome::Ok : jobOutcomeOfErrorKind(Info.Kind);
+      (Info.Ok ? R.Output : R.Error) = std::move(Info.Output);
+      R.Kind = Info.Kind;
+      Finished.emplace_back(std::move(A), std::move(R));
+    }
+
+    if (Fatal) {
+      // Beyond-reserve failure: every admitted job lived in the dying
+      // engine's heap. The job that overran fails with it; co-resident
+      // victims re-run on the rebuilt engine when their policy allows.
+      // Supervise: rebuild the engine in place, or open the breaker.
+      JobOutcome O = jobOutcomeOfErrorKind(Engine->lastErrorKind());
+      uint64_t Culprit = Engine->currentFiberId();
+      std::vector<std::pair<ActiveJob, int64_t>> Victims;
+      for (auto &KV : Active) {
+        int64_t DelayNs =
+            KV.first == Culprit ? -1 : RetryDelayNs(KV.second, true);
+        if (DelayNs >= 0)
+          Victims.emplace_back(std::move(KV.second), DelayNs);
+        else
+          Fail(std::move(KV.second), O, Engine->lastError(),
+               Engine->lastErrorKind());
+      }
+      Active.clear();
+      ++ConsecutiveFatal;
+      if (Opts.BreakerThreshold && ConsecutiveFatal >= Opts.BreakerThreshold) {
+        for (auto &[A, DelayNs] : Victims)
+          Fail(std::move(A), O, Engine->lastError(), Engine->lastErrorKind());
+        Publish();
+        std::lock_guard<std::mutex> L(S.Mu);
+        ++S.BreakerOpens;
+        BreakerOpened = true;
+        break;
+      }
+      Publish();
+      uint64_t T0 = nowNanos();
+      {
+        std::lock_guard<std::mutex> L(EnginesMu);
+        Engines[Idx] = nullptr;
+      }
+      retireEngine(*Engine, Idx);
+      Engine.reset();
+      Engine = buildWorkerEngine(Idx, ++Incarnation);
+      StatsMark = Engine->stats();
+      TraceBuffer &TB = Engine->vm().trace();
+      if (TB.Enabled) {
+        // The rebuild predates the replacement ring's epoch, so the span
+        // renders at the epoch with the true duration carried in Arg.
+        TB.record(TraceEv::WorkerRestartBegin, Idx);
+        TB.record(TraceEv::WorkerRestartEnd, nowNanos() - T0);
+      }
+      {
+        std::lock_guard<std::mutex> L(S.Mu);
+        ++S.WorkerRestarts;
+      }
+      for (auto &[A, DelayNs] : Victims)
+        Retry(std::move(A), DelayNs);
+      continue;
+    }
+    Publish();
+
+    // Everything parked: sleep until the earliest timer or work for a free
+    // slot, in <=10ms chunks so interrupts stay responsive.
+    if (Engine->fiberHasRunnable() || Status != Engine->heap().intern("idle"))
+      continue;
+    uint64_t TimerNs = Engine->fiberNextTimerDelayNs();
+    if (Engine->fiberInterruptPending() && TimerNs != 0) {
+      // interruptAll() with everything parked: force the earliest sleeper
+      // due now; its first safe point delivers the trip.
+      Engine->fiberWakeEarliest();
+      continue;
+    }
+    std::unique_lock<std::mutex> L(QueueMu);
+    // Drain shutdown with only untimed parks left: no new job can ever
+    // unpark them, so they can never finish.
+    if (Stopping && Queue.empty() && TimerNs == 0)
+      break;
+    uint64_t WaitNs = TimerNs == 0 || TimerNs > 10000000 ? 10000000 : TimerNs;
+    NotEmpty.wait_for(L, std::chrono::nanoseconds(WaitNs), [&] {
+      return (Stopping && !DrainOnStop) ||
+             (Active.size() < Cap && !Queue.empty());
+    });
   }
+
+  // Non-drain shutdown, breaker, or unfinishable parks: resolve whatever
+  // is still admitted.
+  FailAllActive(JobOutcome::Rejected, "engine pool is shut down",
+                ErrorKind::Runtime);
+  Publish();
   {
     std::lock_guard<std::mutex> L(EnginesMu);
     Engines[Idx] = nullptr;
@@ -303,455 +502,6 @@ void EnginePool::workerMain(unsigned Idx) {
     NotFull.notify_all();
     rejectQueuedJobs();
   }
-}
-
-void EnginePool::workerFiberMain(unsigned Idx) {
-  uint32_t Incarnation = 0;
-  std::unique_ptr<SchemeEngine> Engine = buildWorkerEngine(Idx, Incarnation);
-  auto ArmFiberMode = [&](SchemeEngine &E) {
-    E.enableFiberPool();
-    // Per-fiber budgets govern run time; heap/stack stay engine-wide
-    // (the heap is shared by every admitted fiber).
-    EngineLimits L = Opts.DefaultJobLimits;
-    L.TimeoutMs = 0;
-    E.limits() = L;
-  };
-  ArmFiberMode(*Engine);
-  uint32_t Cap = Opts.MaxFibersPerWorker ? Opts.MaxFibersPerWorker : 64;
-
-  /// One admitted job, keyed by its current fiber id (retries respawn
-  /// under a fresh id).
-  struct ActiveJob {
-    Job J;
-    uint64_t WaitNs = 0;
-    uint32_t Attempt = 1;
-    uint64_t RunNs = 0; ///< On-CPU ns summed across attempts.
-  };
-  std::map<uint64_t, ActiveJob> Active;
-  VMStats StatsMark = Engine->stats();
-  uint32_t ConsecutiveFatal = 0;
-  bool BreakerOpened = false;
-
-  // The run histogram records *on-CPU* time: parked time is exactly what
-  // this mode exists to not charge for.
-  auto Retire = [&](ActiveJob &A, JobResult R) {
-    WorkerShard &S = *Shards[Idx];
-    {
-      std::lock_guard<std::mutex> L(S.Mu);
-      S.QueueWaitUs.record(A.WaitNs / 1000);
-      S.RunUs.record(A.RunNs / 1000);
-      switch (R.Outcome) {
-      case JobOutcome::Ok:
-        ++S.JobsOk;
-        break;
-      case JobOutcome::TrippedHeap:
-        ++S.TrippedHeap;
-        break;
-      case JobOutcome::TrippedStack:
-        ++S.TrippedStack;
-        break;
-      case JobOutcome::TrippedTimeout:
-        ++S.TrippedTimeout;
-        break;
-      case JobOutcome::TrippedInterrupt:
-        ++S.TrippedInterrupt;
-        break;
-      default:
-        ++S.JobsError;
-      }
-      if (A.J.Degraded)
-        ++S.JobsDegraded;
-    }
-    InFlight.fetch_sub(1, std::memory_order_relaxed);
-    A.J.Promise.set_value(std::move(R));
-  };
-  auto FailAllActive = [&](JobOutcome O, const std::string &Err,
-                           ErrorKind K) {
-    for (auto &E : Active) {
-      JobResult R;
-      R.Ok = false;
-      R.Outcome = O;
-      R.Error = Err;
-      R.Kind = K;
-      R.Attempts = E.second.Attempt;
-      R.Worker = Idx;
-      R.Id = E.second.J.Id;
-      Retire(E.second, std::move(R));
-    }
-    Active.clear();
-  };
-  auto FoldStatsDelta = [&] {
-    VMStats Now = Engine->stats();
-    VMStats Delta = Now.delta(StatsMark);
-    StatsMark = Now;
-    WorkerShard &S = *Shards[Idx];
-    std::lock_guard<std::mutex> L(S.Mu);
-    accumulateStats(S.Engines, Delta);
-    S.TraceDropped = S.TraceDroppedPrior + Engine->trace().dropped();
-    S.ProfileSamples =
-        S.ProfileSamplesPrior + Engine->vm().profiler().total();
-    S.ProfileDropped =
-        S.ProfileDroppedPrior + Engine->vm().profiler().dropped();
-  };
-
-  for (;;) {
-    bool AbortNow;
-    {
-      std::lock_guard<std::mutex> L(QueueMu);
-      AbortNow = Stopping && !DrainOnStop;
-    }
-    if (AbortNow)
-      break;
-
-    // Admit queued jobs into free fiber slots.
-    while (Active.size() < Cap) {
-      Job J;
-      {
-        std::lock_guard<std::mutex> L(QueueMu);
-        if (Queue.empty())
-          break;
-        J = std::move(Queue.front());
-        Queue.pop_front();
-      }
-      NotFull.notify_one();
-      uint64_t DequeueNs = nowNanos();
-      uint64_t WaitNs = DequeueNs > J.EnqueueNs ? DequeueNs - J.EnqueueNs : 0;
-      if (Opts.QueueWaitBudgetMs)
-        noteQueueWait(WaitNs / 1000);
-      if (J.DeadlineNs && DequeueNs >= J.DeadlineNs) {
-        expireJob(J, Idx, WaitNs);
-        continue;
-      }
-      InFlight.fetch_add(1, std::memory_order_relaxed);
-      std::string SpawnErr;
-      uint64_t BudgetNs = J.Limits.TimeoutMs * 1000000ull;
-      uint64_t FiberId = Engine->spawnFiberJob(J.Source, BudgetNs,
-                                               J.DeadlineNs, 0, &SpawnErr);
-      if (!FiberId) {
-        ActiveJob A;
-        A.J = std::move(J);
-        A.WaitNs = WaitNs;
-        JobResult R;
-        R.Ok = false;
-        R.Outcome = JobOutcome::Error;
-        R.Error = SpawnErr;
-        R.Kind = ErrorKind::Runtime;
-        R.Attempts = 1;
-        R.Worker = Idx;
-        R.Id = A.J.Id;
-        Retire(A, std::move(R));
-        continue;
-      }
-      ActiveJob A;
-      A.J = std::move(J);
-      A.WaitNs = WaitNs;
-      Active.emplace(FiberId, std::move(A));
-    }
-
-    if (Active.empty()) {
-      std::unique_lock<std::mutex> L(QueueMu);
-      if (Stopping && Queue.empty())
-        break;
-      if (Queue.empty())
-        NotEmpty.wait(L, [&] { return Stopping || !Queue.empty(); });
-      continue;
-    }
-
-    // One scheduler slice: fibers run until a job retires or everything
-    // is parked.
-    Value Status = Engine->runFiberSlice();
-    bool SliceFailed = !Engine->ok();
-    bool Fatal = SliceFailed && Engine->lastErrorFatal();
-    if (SliceFailed && !Fatal) {
-      // A hard (uncatchable) VM error failed the slice while some fiber
-      // was current; the scheduler state and every other fiber are
-      // intact. Classify the failure onto that fiber and keep serving.
-      ErrorKind K = Engine->lastErrorKind();
-      Value KindSym = Engine->heap().intern(fiberKindOfErrorKind(K));
-      Engine->fibers().failCurrent(Engine->vm(), Engine->lastError(),
-                                   KindSym);
-    }
-    if (!SliceFailed)
-      ConsecutiveFatal = 0;
-
-    for (FiberJobInfo &Info : Engine->takeFinishedFiberJobs()) {
-      auto It = Active.find(Info.Id);
-      if (It == Active.end())
-        continue; // A plain (non-job) fiber, or already failed over.
-      ActiveJob &A = It->second;
-      A.RunNs += Info.RunNs;
-      // Retry: like the blocking pool, only interrupt evictions are
-      // transient. Re-spawn under a fresh fiber id after the backoff
-      // (the scheduler's timer wheel serves as the backoff sleep).
-      if (!Info.Ok && Info.Kind == "interrupt") {
-        uint32_t MaxAttempts =
-            A.J.Retry.MaxAttempts ? A.J.Retry.MaxAttempts : 1;
-        bool Abort;
-        {
-          std::lock_guard<std::mutex> Lk(QueueMu);
-          Abort = Stopping && !DrainOnStop;
-        }
-        if (A.Attempt < MaxAttempts && !Abort) {
-          uint64_t BackoffMs = retryBackoffMs(A.J.Retry, A.J.Id, A.Attempt);
-          uint64_t Now = nowNanos();
-          if (!(A.J.DeadlineNs &&
-                Now + BackoffMs * 1000000 >= A.J.DeadlineNs)) {
-            std::string SpawnErr;
-            uint64_t BudgetNs = A.J.Limits.TimeoutMs * 1000000ull;
-            uint64_t NewId = Engine->spawnFiberJob(
-                A.J.Source, BudgetNs, A.J.DeadlineNs,
-                BackoffMs * 1000000, &SpawnErr);
-            if (NewId) {
-              ActiveJob Moved = std::move(A);
-              Active.erase(It);
-              ++Moved.Attempt;
-              {
-                WorkerShard &S = *Shards[Idx];
-                std::lock_guard<std::mutex> L(S.Mu);
-                ++S.RetriesAttempted;
-              }
-              Active.emplace(NewId, std::move(Moved));
-              continue;
-            }
-          }
-        }
-      }
-      JobResult R;
-      R.Worker = Idx;
-      R.Id = A.J.Id;
-      R.Attempts = A.Attempt;
-      if (Info.Ok) {
-        R.Ok = true;
-        R.Outcome = JobOutcome::Ok;
-        R.Output = std::move(Info.Output);
-      } else {
-        R.Ok = false;
-        R.Error = std::move(Info.Output);
-        R.Kind = errorKindOfFiberKind(Info.Kind);
-        R.Outcome = jobOutcomeOfErrorKind(R.Kind);
-      }
-      Retire(A, std::move(R));
-      Active.erase(It);
-    }
-    FoldStatsDelta();
-
-    if (Fatal) {
-      // Beyond-reserve failure: every admitted fiber lived in the dying
-      // engine's heap, so they all fail with it. Supervise like the
-      // blocking pool: rebuild in place, or open the breaker.
-      FailAllActive(jobOutcomeOfErrorKind(Engine->lastErrorKind()),
-                    Engine->lastError(), Engine->lastErrorKind());
-      ++ConsecutiveFatal;
-      WorkerShard &S = *Shards[Idx];
-      if (Opts.BreakerThreshold &&
-          ConsecutiveFatal >= Opts.BreakerThreshold) {
-        std::lock_guard<std::mutex> L(S.Mu);
-        ++S.BreakerOpens;
-        BreakerOpened = true;
-        break;
-      }
-      uint64_t T0 = nowNanos();
-      {
-        std::lock_guard<std::mutex> L(EnginesMu);
-        Engines[Idx] = nullptr;
-      }
-      retireEngine(*Engine, Idx);
-      Engine.reset();
-      ++Incarnation;
-      Engine = buildWorkerEngine(Idx, Incarnation);
-      ArmFiberMode(*Engine);
-      StatsMark = Engine->stats();
-      TraceBuffer &TB = Engine->vm().trace();
-      if (TB.Enabled) {
-        TB.record(TraceEv::WorkerRestartBegin, Idx);
-        TB.record(TraceEv::WorkerRestartEnd, nowNanos() - T0);
-      }
-      {
-        std::lock_guard<std::mutex> L(S.Mu);
-        ++S.WorkerRestarts;
-      }
-      continue;
-    }
-
-    // Everything parked: sleep until the earliest fiber deadline or new
-    // work, in <=10ms chunks so interrupts stay responsive.
-    if (!Engine->fiberHasRunnable() &&
-        Status == Engine->heap().intern("idle")) {
-      uint64_t TimerNs = Engine->fiberNextTimerDelayNs();
-      if (Engine->fiberInterruptPending() && TimerNs != 0) {
-        // interruptAll() with everything parked: force the earliest
-        // sleeper due now; its first safe point delivers the trip.
-        Engine->fiberWakeEarliest();
-        continue;
-      }
-      bool Draining;
-      {
-        std::lock_guard<std::mutex> L(QueueMu);
-        Draining = Stopping && Queue.empty();
-      }
-      if (Draining && TimerNs == 0) {
-        // Drain shutdown with only untimed parks left: no new job can
-        // ever unpark them, so they can never finish.
-        FailAllActive(JobOutcome::Rejected, "engine pool is shut down",
-                      ErrorKind::Runtime);
-        break;
-      }
-      uint64_t WaitNs = TimerNs;
-      if (WaitNs == 0 || WaitNs > 10000000)
-        WaitNs = 10000000;
-      std::unique_lock<std::mutex> L(QueueMu);
-      if (!Stopping && Queue.empty())
-        NotEmpty.wait_for(L, std::chrono::nanoseconds(WaitNs),
-                          [&] { return Stopping || !Queue.empty(); });
-    }
-  }
-
-  // Non-drain shutdown (or breaker): resolve whatever is still admitted.
-  FailAllActive(JobOutcome::Rejected, "engine pool is shut down",
-                ErrorKind::Runtime);
-  {
-    std::lock_guard<std::mutex> L(EnginesMu);
-    Engines[Idx] = nullptr;
-  }
-  retireEngine(*Engine, Idx);
-  Engine.reset();
-  bool LastOut = false;
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    --LiveWorkers;
-    if (BreakerOpened && LiveWorkers == 0 && !Stopping) {
-      Stopping = true;
-      DrainOnStop = false;
-      LastOut = true;
-    }
-  }
-  if (LastOut) {
-    NotEmpty.notify_all();
-    NotFull.notify_all();
-    rejectQueuedJobs();
-  }
-}
-
-bool EnginePool::runJob(SchemeEngine &Engine, Job &J, unsigned Idx,
-                        uint64_t WaitNs) {
-  InFlight.fetch_add(1, std::memory_order_relaxed);
-
-  TraceBuffer &TB = Engine.vm().trace();
-  char SpanLabel[24];
-  if (TB.Enabled) {
-    int Len = std::snprintf(SpanLabel, sizeof(SpanLabel), "job-%" PRIu64, J.Id);
-    TB.record(TraceEv::JobBegin, SpanLabel, static_cast<size_t>(Len), J.Id);
-  }
-
-  JobResult R;
-  R.Worker = Idx;
-  R.Id = J.Id;
-  bool Fatal = false;
-  uint64_t RunNs = 0;
-  uint64_t Retries = 0;
-  VMStats JobDelta;
-  uint32_t MaxAttempts = J.Retry.MaxAttempts ? J.Retry.MaxAttempts : 1;
-  uint32_t Attempt = 0;
-  for (;;) {
-    ++Attempt;
-    EngineLimits L = J.Limits;
-    if (J.DeadlineNs) {
-      // Fold the remaining deadline into the attempt's timeout so the job
-      // cannot run past its deadline by more than a safe-point interval.
-      uint64_t Now = nowNanos();
-      uint64_t RemainingMs =
-          J.DeadlineNs > Now ? (J.DeadlineNs - Now) / 1000000 : 0;
-      if (RemainingMs == 0)
-        RemainingMs = 1; // Dequeued at the edge: minimal budget.
-      L.TimeoutMs = L.TimeoutMs ? std::min(L.TimeoutMs, RemainingMs)
-                                : RemainingMs;
-    }
-    Engine.limits() = L;
-    VMStats Before = Engine.stats();
-    uint64_t A0 = nowNanos();
-    R.Output = Engine.evalToString(J.Source);
-    RunNs += nowNanos() - A0;
-    VMStats Delta = Engine.stats().delta(Before);
-    accumulateStats(JobDelta, Delta);
-    if (Engine.ok()) {
-      R.Ok = true;
-      R.Outcome = JobOutcome::Ok;
-      R.Error.clear();
-      R.Kind = ErrorKind::None;
-      break;
-    }
-    R.Output.clear();
-    R.Error = Engine.lastError();
-    R.Kind = Engine.lastErrorKind();
-    R.Outcome = jobOutcomeOfErrorKind(R.Kind);
-    Fatal = Engine.lastErrorFatal();
-    if (Fatal)
-      break; // Supervision territory, never a retry.
-    // Transient := interrupt eviction or an attempt that saw injected
-    // faults. Ordinary errors and limit trips are deterministic
-    // properties of the job; re-running them is wasted work.
-    bool Transient =
-        R.Kind == ErrorKind::Interrupt || Delta.FaultsInjected > 0;
-    if (!Transient || Attempt >= MaxAttempts)
-      break;
-    uint64_t BackoffMs = retryBackoffMs(J.Retry, J.Id, Attempt);
-    uint64_t Now = nowNanos();
-    if (J.DeadlineNs && Now + BackoffMs * 1000000 >= J.DeadlineNs)
-      break; // The retry could not finish in time anyway.
-    bool Abort;
-    {
-      std::lock_guard<std::mutex> Lk(QueueMu);
-      Abort = Stopping && !DrainOnStop;
-    }
-    if (Abort)
-      break;
-    ++Retries;
-    if (BackoffMs)
-      std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMs));
-  }
-  R.Attempts = Attempt;
-
-  if (TB.Enabled)
-    TB.record(TraceEv::JobEnd, J.Id);
-
-  SamplingProfiler &Prof = Engine.vm().profiler();
-  {
-    // The whole job delta retires in one critical section (see the
-    // consistency model in pool.h).
-    WorkerShard &S = *Shards[Idx];
-    std::lock_guard<std::mutex> L(S.Mu);
-    S.QueueWaitUs.record(WaitNs / 1000);
-    S.RunUs.record(RunNs / 1000);
-    switch (R.Outcome) {
-    case JobOutcome::Ok:
-      ++S.JobsOk;
-      break;
-    case JobOutcome::TrippedHeap:
-      ++S.TrippedHeap;
-      break;
-    case JobOutcome::TrippedStack:
-      ++S.TrippedStack;
-      break;
-    case JobOutcome::TrippedTimeout:
-      ++S.TrippedTimeout;
-      break;
-    case JobOutcome::TrippedInterrupt:
-      ++S.TrippedInterrupt;
-      break;
-    default:
-      ++S.JobsError;
-    }
-    S.RetriesAttempted += Retries;
-    if (J.Degraded)
-      ++S.JobsDegraded;
-    accumulateStats(S.Engines, JobDelta);
-    S.TraceDropped = S.TraceDroppedPrior + TB.dropped();
-    S.ProfileSamples = S.ProfileSamplesPrior + Prof.total();
-    S.ProfileDropped = S.ProfileDroppedPrior + Prof.dropped();
-  }
-  InFlight.fetch_sub(1, std::memory_order_relaxed);
-  J.Promise.set_value(std::move(R));
-  return Fatal;
 }
 
 void EnginePool::expireJob(Job &J, unsigned Idx, uint64_t WaitNs) {

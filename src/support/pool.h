@@ -15,7 +15,9 @@
 /// its own EngineLimits (defaulted from PoolOptions), which is how a
 /// serving deployment evicts stuck requests — a job that trips its
 /// timeout/heap/stack budget fails alone; the worker engine recovers
-/// and keeps serving (support/limits.h).
+/// and keeps serving (support/limits.h). Every job runs as a fiber on
+/// its worker's engine, in blocking and cooperative mode alike (one
+/// worker loop, one meaning for every limit; see EnableFibers).
 ///
 /// Failure model (DESIGN.md §14): every job retires with exactly one
 /// typed JobOutcome. The resilience layer has four pillars:
@@ -34,17 +36,19 @@
 ///  - *Deadlines.* A job may carry an absolute deadline (relative
 ///    DeadlineMs fixed at submit). A job whose deadline passes while it
 ///    waits is shed from the queue without running (Outcome Expired);
-///    one that is dequeued in time has its remaining deadline folded
-///    into its EngineLimits timeout, so a job can never run past its
+///    one that is dequeued in time runs with its deadline armed at every
+///    switch-in (and caps every park), so a job can never run past its
 ///    deadline by more than one safe-point interval.
 ///  - *Retry with backoff.* Opt-in (RetryPolicy) for idempotent jobs:
 ///    failures classified transient — an interrupt eviction or an
-///    injected fault (VMStats::FaultsInjected delta) — are re-run up to
-///    MaxAttempts with capped exponential backoff. Jitter is
+///    attempt whose fibers saw an injected fault (charged to the job's
+///    account, so a co-resident job's fault never counts) — are re-run up
+///    to MaxAttempts with capped exponential backoff, as are fiber-mode
+///    jobs lost with an engine a co-resident job poisoned. Jitter is
 ///    deterministic per job id (retryBackoffMs is a pure function), so
-///    chaos runs replay exactly. Fatal failures and ordinary errors
-///    never retry; retries stop at the deadline and during a non-drain
-///    shutdown.
+///    chaos runs replay exactly. The job whose failure was fatal, and
+///    ordinary errors, never retry; retries stop at the deadline and
+///    during a non-drain shutdown.
 ///  - *Overload control.* With QueueWaitBudgetMs armed, the pool tracks
 ///    a sliding window of recent queue waits; while the window's p99
 ///    exceeds the budget, new submissions are shed at the door (Outcome
@@ -58,10 +62,11 @@
 /// Serving telemetry (DESIGN.md §13): every job records its queue wait,
 /// run time, and outcome into log-bucketed histograms; metricsText()/
 /// metricsJson() export a Prometheus / `cmarks-metrics-v1` snapshot.
-/// With PoolOptions::TraceCapacity set, jobs render as named "job-<id>"
-/// spans in a merged per-worker Perfetto timeline (traceJson()); with
-/// PoolOptions::ProfileHz set, every worker runs the safe-point sampling
-/// profiler and profileCollapsed() aggregates a pool-wide flamegraph.
+/// With PoolOptions::TraceCapacity set, every run slice of a job renders
+/// as a named "job-<id>" span in a merged per-worker Perfetto timeline
+/// (traceJson()); with PoolOptions::ProfileHz set, every worker runs the
+/// safe-point sampling profiler and profileCollapsed() aggregates a
+/// pool-wide flamegraph.
 ///
 /// Consistency model of stats()/telemetry(): a job retires by publishing
 /// its whole delta — outcome counter, engine-stats delta, and histogram
@@ -122,7 +127,7 @@ enum class JobOutcome : uint8_t {
   Error,            ///< Ran and raised an ordinary Scheme/VM error.
   TrippedHeap,      ///< Evicted: heap byte budget exhausted.
   TrippedStack,     ///< Evicted: stack segment budget exhausted.
-  TrippedTimeout,   ///< Evicted: wall-clock budget (or deadline remainder).
+  TrippedTimeout,   ///< Evicted: run-time budget or deadline exhausted.
   TrippedInterrupt, ///< Evicted: interruptAll()/requestInterrupt.
   Expired,          ///< Deadline passed while queued; never ran.
   Shed,             ///< Admission control refused it at submit; never queued.
@@ -274,17 +279,18 @@ struct PoolOptions {
   uint32_t ProfileHz = 0;
   /// Per-worker profile sample ring (0 = SamplingProfiler::DefaultCapacity).
   uint32_t ProfileCapacity = 0;
-  /// Cooperative fiber multiplexing (DESIGN.md §16): each worker admits
-  /// up to MaxFibersPerWorker jobs as fibers over its one engine. A job
-  /// that parks (sleep-ms, channel wait) releases the worker to run other
-  /// admitted jobs instead of blocking the thread, so M >> N jobs with
-  /// backend-style waits multiplex over N workers. Per-job TimeoutMs
-  /// governs *on-CPU* time (parked time is excluded); deadlines stay
-  /// wall-clock. Heap/stack budgets are engine-wide in this mode, and
-  /// retry classifies only interrupt evictions as transient (per-fiber
-  /// fault attribution is not possible on a shared engine).
+  /// Cooperative fiber multiplexing (DESIGN.md §16). In both modes every
+  /// job runs as a fiber under its own limits: TimeoutMs governs *on-CPU*
+  /// time (parked time is excluded), HeapBytes and MaxLiveSegments the
+  /// heap and stack segments charged to the job's fibers, and deadlines
+  /// stay wall-clock. Off (blocking), a worker runs one job at a time and
+  /// a job that waits (sleep-ms, channel wait) holds its worker. On, a
+  /// worker admits up to MaxFibersPerWorker jobs over its one engine, and
+  /// a job that waits parks, releasing the worker to run the others, so
+  /// M >> N jobs with backend-style waits multiplex over N workers.
   bool EnableFibers = false;
-  /// Max jobs admitted as fibers per worker (0 = 64).
+  /// Max jobs admitted per worker with EnableFibers (0 = 64); blocking
+  /// mode admits one.
   uint32_t MaxFibersPerWorker = 64;
 };
 
@@ -373,10 +379,11 @@ public:
 
   /// Stops the pool and joins the workers. Drain=true finishes queued
   /// jobs first; Drain=false rejects them (their futures resolve with
-  /// Outcome Rejected). Running jobs always finish — combine with
-  /// interruptAll() to evict them promptly. Submitters blocked on
-  /// backpressure are woken and rejected in both modes. Idempotent; the
-  /// first call's Drain wins.
+  /// Outcome Rejected), along with fiber-mode jobs parked at the time.
+  /// Running jobs always finish their slice — in blocking mode the whole
+  /// job — so combine with interruptAll() to evict them promptly.
+  /// Submitters blocked on backpressure are woken and rejected in both
+  /// modes. Idempotent; the first call's Drain wins.
   void shutdown(bool Drain = true);
 
   /// Asks every currently-running evaluation to stop at its next safe
@@ -467,16 +474,13 @@ private:
     std::map<std::string, uint64_t> ProfileFold;
   };
 
+  /// The worker loop, both modes: admits queued jobs as fibers (up to one,
+  /// or MaxFibersPerWorker with EnableFibers), slices the scheduler,
+  /// retries or retires finished jobs, and supervises the engine.
   void workerMain(unsigned Idx);
-  /// Cooperative worker loop (PoolOptions::EnableFibers): admits queued
-  /// jobs as fibers, slices the scheduler, and retires finished jobs.
-  void workerFiberMain(unsigned Idx);
   std::unique_ptr<SchemeEngine> buildWorkerEngine(unsigned Idx,
                                                   uint32_t Incarnation);
   void retireEngine(SchemeEngine &Engine, unsigned Idx);
-  /// Runs J (including its retry loop) on Engine; true when the failure
-  /// was fatal (beyond-reserve) and the caller must rebuild the engine.
-  bool runJob(SchemeEngine &Engine, Job &J, unsigned Idx, uint64_t WaitNs);
   void expireJob(Job &J, unsigned Idx, uint64_t WaitNs);
   static void rejectJob(Job &J);
   void shedJob(Job &J, uint64_t WindowP99Us);

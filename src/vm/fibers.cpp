@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <thread>
 
 using namespace cmk;
@@ -83,6 +85,18 @@ Value FiberScheduler::captureHere(VM &M) {
 
 void FiberScheduler::armBudget(VM &M, FiberObj *F) {
   SliceStartNs = nowNanos();
+  if (ResourceAccount *A = F->Account) {
+    FaultsAtSwitchIn = M.Stats.FaultsInjected;
+    // One span per run slice: only one fiber runs at a time, so a job's
+    // slices nest cleanly in its worker's trace however jobs interleave.
+    if (M.trace().Enabled) {
+      char Label[24];
+      int Len = std::snprintf(Label, sizeof(Label), "job-%" PRIu64, A->JobId);
+      M.trace().record(TraceEv::JobBegin, Label, static_cast<size_t>(Len),
+                       A->JobId);
+    }
+  }
+  M.heap().setAccount(F->Account);
   uint64_t DeadNs = 0;
   if (F->BudgetNs)
     DeadNs = SliceStartNs + F->BudgetNs;
@@ -95,14 +109,14 @@ void FiberScheduler::armBudget(VM &M, FiberObj *F) {
     M.DeadlineArmed = true;
     if (DeadNs <= SliceStartNs)
       M.FuelLeft = 0; // Already expired: trip at the first safe point.
-  } else if (CoopPool) {
-    // Governed fibers switched out; an unbudgeted fiber runs deadline-free
-    // (pool mode zeroes the engine-level timeout in favour of these).
+  } else if (PoolHost) {
+    // An unbudgeted fiber runs deadline-free (pool engines carry no
+    // engine-level timeout; per-fiber budgets replace it).
     M.DeadlineArmed = false;
   }
 }
 
-void FiberScheduler::noteSwitchOut(FiberObj *F) {
+void FiberScheduler::noteSwitchOut(VM &M, FiberObj *F) {
   uint64_t Now = nowNanos();
   uint64_t Ran = Now > SliceStartNs ? Now - SliceStartNs : 0;
   F->RunNs += Ran;
@@ -112,6 +126,21 @@ void FiberScheduler::noteSwitchOut(FiberObj *F) {
     F->BudgetNs = F->BudgetNs > Ran ? F->BudgetNs - Ran : 1;
   }
   SliceStartNs = Now;
+  if (ResourceAccount *A = F->Account) {
+    A->FaultsInjected += M.Stats.FaultsInjected - FaultsAtSwitchIn;
+    CMK_TRACE_EV(M.trace(), JobEnd, A->JobId);
+  }
+  M.heap().setAccount(nullptr);
+  // Parked time is free: the next switch-in re-arms a deadline.
+  if (PoolHost)
+    M.DeadlineArmed = false;
+}
+
+void FiberScheduler::dropAccount(VM &M, FiberObj *F) {
+  if (F->Account && !F->isJob()) {
+    M.heap().releaseAccount(F->Account);
+    F->Account = nullptr;
+  }
 }
 
 Value FiberScheduler::currentFiber(VM &M) {
@@ -131,18 +160,23 @@ Value FiberScheduler::spawn(VM &M, Value Thunk, Value ArgsList) {
     return M.raiseError("spawn: fibers are not supported in mark-stack mode "
                         "(the eager mark stack is per-VM, not per-fiber)");
   GCRoot T(M.heap(), Thunk), A(M.heap(), ArgsList);
-  // Sub-fibers of a pool job inherit the job's wall-clock deadline and a
-  // snapshot of its remaining budget, so a runaway sub-fiber cannot
-  // outlive its job's governance.
+  // Sub-fibers of a pool job inherit the job's wall-clock deadline, a
+  // snapshot of its remaining budget, and its account, so a runaway
+  // sub-fiber cannot outlive its job's governance.
   uint64_t Budget = 0, DeadNs = 0;
+  ResourceAccount *Account = nullptr;
   if (Current.isFiber()) {
     Budget = asFiber(Current)->BudgetNs;
     DeadNs = asFiber(Current)->JobDeadlineNs;
+    Account = asFiber(Current)->Account;
   }
   Value FV = M.heap().makeFiber(T.get(), A.get(), NextId++);
   FiberObj *F = asFiber(FV);
   F->BudgetNs = Budget;
   F->JobDeadlineNs = DeadNs;
+  F->Account = Account;
+  if (Account)
+    M.heap().retainAccount(Account);
   ++Live;
   ++M.Stats.FiberSpawns;
   RunQueue.push_back(FV);
@@ -150,13 +184,18 @@ Value FiberScheduler::spawn(VM &M, Value Thunk, Value ArgsList) {
 }
 
 Value FiberScheduler::spawnJob(VM &M, Value Thunk, Value ArgsList,
-                               uint64_t BudgetNs, uint64_t DeadlineNs,
-                               uint64_t DelayNs) {
+                               const EngineLimits &L, uint64_t JobId,
+                               uint64_t DeadlineNs, uint64_t DelayNs) {
+  // An interrupt that reached an engine hosting no fiber was aimed at no
+  // job; drop it, as a fresh run would.
+  if (Live == 0)
+    M.AsyncSignals.fetch_and(~VM::SigInterrupt, std::memory_order_relaxed);
   GCRoot T(M.heap(), Thunk), A(M.heap(), ArgsList);
   Value FV = M.heap().makeFiber(T.get(), A.get(), NextId++);
   FiberObj *F = asFiber(FV);
-  F->BudgetNs = BudgetNs;
+  F->BudgetNs = L.TimeoutMs * 1000000ull;
   F->JobDeadlineNs = DeadlineNs;
+  F->Account = M.heap().openAccount(L, JobId);
   F->setJob();
   ++Live;
   ++M.Stats.FiberSpawns;
@@ -332,7 +371,7 @@ void FiberScheduler::yieldCurrent(VM &M) {
   F->setState(FiberState::Runnable);
   RunQueue.push_back(FRoot.get());
   ++M.Stats.FiberParks;
-  noteSwitchOut(F);
+  noteSwitchOut(M, F);
   Current = Value::undefined();
   dispatchNext(M); // Cannot deadlock: the queue was nonempty.
 }
@@ -359,7 +398,7 @@ void FiberScheduler::parkCurrent(VM &M, uint64_t DueNs) {
   if (Due)
     addTimer(FRoot.get(), Due);
   ++M.Stats.FiberParks;
-  noteSwitchOut(F);
+  noteSwitchOut(M, F);
   Current = Value::undefined();
   if (!dispatchNext(M)) {
     // Deadlock: every fiber is parked with no timer. Revert the park and
@@ -370,6 +409,7 @@ void FiberScheduler::parkCurrent(VM &M, uint64_t DueNs) {
     F->Cont = Value::undefined();
     F->DueNs = 0;
     Current = FRoot.get();
+    armBudget(M, F);
     M.raiseError("fiber deadlock: every fiber is parked and no timer is "
                  "pending");
   }
@@ -417,7 +457,7 @@ void FiberScheduler::finishCurrent(VM &M, Value FV, bool Ok, Value Result,
   }
   GCRoot FRoot(M.heap(), FV);
   FiberObj *F = asFiber(FV);
-  noteSwitchOut(F);
+  noteSwitchOut(M, F);
   F->Result = Result;
   F->ErrKindSym = KindSym;
   if (!Ok)
@@ -428,9 +468,10 @@ void FiberScheduler::finishCurrent(VM &M, Value FV, bool Ok, Value Result,
   F->ArgsList = Value::nil();
   if (Live)
     --Live;
+  dropAccount(M, F);
   wakeJoiners(M, F);
   Current = Value::undefined();
-  if (CoopPool && F->isJob()) {
+  if (F->isJob()) {
     // Retire the slice so the host collects the finished job promptly
     // (latency) and can admit a queued one into the freed fiber slot.
     DoneJobs.push_back(FRoot.get());
@@ -453,6 +494,7 @@ void FiberScheduler::failCurrent(VM &M, const std::string &Msg,
   GCRoot FRoot(M.heap(), Current);
   Value MsgV = M.heap().makeString(Msg);
   FiberObj *F = asFiber(FRoot.get());
+  noteSwitchOut(M, F);
   F->Result = MsgV;
   F->ErrKindSym = KRoot.get();
   F->setErred();
@@ -462,6 +504,7 @@ void FiberScheduler::failCurrent(VM &M, const std::string &Msg,
   F->ArgsList = Value::nil();
   if (Live)
     --Live;
+  dropAccount(M, F);
   wakeJoiners(M, F);
   if (F->isJob())
     DoneJobs.push_back(FRoot.get());

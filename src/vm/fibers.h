@@ -17,22 +17,27 @@
 /// falls out (run queue order is FIFO, timers fire in due order), which is
 /// what lets the differential fuzzer include fiber programs.
 ///
-/// Two operating modes share the code:
+/// Operating modes:
 ///
 ///  - *Standalone* (the default): `(spawn thunk)` inside any eval. When
 ///    every fiber is blocked the scheduler idle-waits inside the run
 ///    (chunked, interruptible sleeps) until the earliest timer fires.
-///  - *Cooperative pool* (`CoopPool`): the engine belongs to a pool worker
-///    multiplexing many jobs. When nothing is runnable the scheduler ends
-///    the current *slice* — it jumps to a fresh halt continuation so
-///    VM::run() returns and the host worker regains control to admit new
-///    jobs or sleep on its queue. Parked jobs hold no worker thread.
+///  - *Pool host* (`PoolHost`): the engine belongs to a pool worker, and
+///    every pool job runs as a job fiber; a finishing job ends the current
+///    *slice* — it jumps to a fresh halt continuation so VM::run() returns
+///    and the host worker regains control to collect it. A blocking pool
+///    hosts one job at a time and idle-waits like standalone mode, so a
+///    waiting job holds its worker. A cooperative pool (`CoopPool` too)
+///    also ends the slice when nothing is runnable, so the worker can admit
+///    new jobs or sleep on its queue: parked jobs hold no worker thread.
 ///
-/// Run-time accounting: RunNs accumulates only while a fiber is switched
-/// in, so parked time never counts against a pool job's run-time budget
-/// (per-fiber BudgetNs) — only the wall-clock job deadline (JobDeadlineNs)
-/// keeps ticking while parked, which is exactly the deadline/timeout split
-/// the pool's telemetry reports.
+/// Governance is per fiber: RunNs accumulates only while a fiber is
+/// switched in, so parked time never counts against a pool job's run-time
+/// budget (per-fiber BudgetNs) — only the wall-clock job deadline
+/// (JobDeadlineNs) keeps ticking while parked, which is exactly the
+/// deadline/timeout split the pool's telemetry reports. A job fiber's
+/// heap bytes and stack segments are charged to its ResourceAccount
+/// (runtime/heap.h), made current at every switch-in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +45,7 @@
 #define CMARKS_VM_FIBERS_H
 
 #include "runtime/value.h"
+#include "support/limits.h"
 
 #include <cstdint>
 #include <deque>
@@ -54,9 +60,13 @@ class VM;
 
 class FiberScheduler {
 public:
-  /// Cooperative-pool mode: an idle scheduler ends the slice (VM::run()
-  /// returns a status symbol) instead of blocking in-run. Set by
-  /// SchemeEngine::enableFiberPool() before any fiber exists.
+  /// Pool-host mode: job fibers retire the slice when they finish,
+  /// interrupts wait for a fiber to own them, and switching out disarms
+  /// the outgoing fiber's deadline. Set by SchemeEngine::enableFiberPool()
+  /// before any fiber exists.
+  bool PoolHost = false;
+  /// Cooperative pool (with PoolHost): an idle scheduler ends the slice
+  /// (VM::run() returns a status symbol) instead of blocking in-run.
   bool CoopPool = false;
 
   /// Pluggable wait hook (future I/O integration): when set, standalone
@@ -72,6 +82,10 @@ public:
     return CoopPool || Live > 0 || !RunQueue.empty() || !Timers.empty();
   }
   bool hasRunnable() const { return !RunQueue.empty(); }
+  /// Id of the fiber switched in (0 between fibers).
+  uint64_t currentId() const {
+    return Current.isFiber() ? asFiber(Current)->Id : 0;
+  }
   /// Pool-mode safe-point gate: an interrupt may only be consumed while a
   /// fiber is switched in. Between slices the engine runs scheduler glue
   /// (the slice closure, dispatch natives) with no current fiber — a trip
@@ -79,8 +93,6 @@ public:
   /// swallowed, so pollSafePoint leaves the bit armed until the next
   /// fiber resumes and owns the trip.
   bool interruptDeliverable() const { return Current.isFiber(); }
-  /// Live spawned fibers (jobs and user fibers; excludes adopted roots).
-  uint64_t liveFibers() const { return Live; }
   /// Ns until the earliest timer is due (0 when none pending); the pool
   /// worker bounds its queue wait by this so sleepers wake on time.
   uint64_t nextTimerDelayNs() const;
@@ -91,15 +103,18 @@ public:
 
   /// Creates a runnable fiber that will call \p Thunk on \p ArgsList.
   /// Sub-fibers spawned from a pool job inherit the job's wall-clock
-  /// deadline and a snapshot of its remaining run-time budget so a
-  /// runaway sub-fiber cannot outlive its job's governance.
+  /// deadline, a snapshot of its remaining run-time budget, and its
+  /// resource account, so a runaway sub-fiber cannot outlive its job's
+  /// governance.
   Value spawn(VM &M, Value Thunk, Value ArgsList);
 
-  /// Pool entry: like spawn but with explicit governance and the job flag
-  /// (finishing retires the slice and queues the fiber in DoneJobs).
-  /// \p DelayNs > 0 parks the fresh fiber on a timer first (retry backoff).
-  Value spawnJob(VM &M, Value Thunk, Value ArgsList, uint64_t BudgetNs,
-                 uint64_t DeadlineNs, uint64_t DelayNs);
+  /// Pool entry: like spawn but governed by the job's own limits \p L (a
+  /// TimeoutMs run-time budget, and a fresh ResourceAccount for the rest)
+  /// and flagged as a job (finishing retires the slice and queues the
+  /// fiber in DoneJobs; the collector releases its account). \p DelayNs > 0
+  /// parks the fresh fiber on a timer first (retry backoff).
+  Value spawnJob(VM &M, Value Thunk, Value ArgsList, const EngineLimits &L,
+                 uint64_t JobId, uint64_t DeadlineNs, uint64_t DelayNs);
 
   /// (yield): if another fiber is runnable, capture, requeue self, switch.
   /// No-op when alone. Native-context only.
@@ -159,7 +174,7 @@ public:
   /// Pool-mode interrupts must survive the idle gaps between slices;
   /// resetGovernance keeps the SigInterrupt bit armed when this is true.
   bool preserveInterruptAcrossRuns() const {
-    return CoopPool &&
+    return PoolHost &&
            (Live > 0 || !RunQueue.empty() || !Timers.empty() || !DoneJobs.empty());
   }
 
@@ -184,11 +199,15 @@ private:
   /// Standalone blocking wait for the earliest timer: chunked sleeps that
   /// break early for interrupts/deadlines by forcing the timer due now.
   void idleWait(VM &M);
-  /// Arms the VM deadline from the fiber's remaining budget and job
-  /// deadline; stamps the slice clock.
+  /// Switch-in governance: arms the VM deadline from the fiber's remaining
+  /// budget and job deadline, makes its account current (opening its job's
+  /// trace span), and stamps the slice clock.
   void armBudget(VM &M, FiberObj *F);
-  /// Accumulates RunNs and burns BudgetNs for the outgoing fiber.
-  void noteSwitchOut(FiberObj *F);
+  /// Switch-out governance: accumulates RunNs, burns BudgetNs, charges the
+  /// faults injected meanwhile to the account, and closes the span.
+  void noteSwitchOut(VM &M, FiberObj *F);
+  /// A finished non-job fiber drops its hold on its job's account.
+  void dropAccount(VM &M, FiberObj *F);
   void wakeJoiners(VM &M, FiberObj *F);
   void addTimer(Value FV, uint64_t Due);
   /// A full continuation record that resumes at the VM's Halt instruction
@@ -206,6 +225,7 @@ private:
   uint64_t NextId = 1;
   uint64_t Live = 0;         ///< Spawned fibers not yet Done.
   uint64_t SliceStartNs = 0; ///< When the current fiber was switched in.
+  uint64_t FaultsAtSwitchIn = 0; ///< VMStats::FaultsInjected at switch-in.
 };
 
 /// Registers the fiber natives (vm/fibers.cpp).

@@ -277,13 +277,14 @@ std::string procName(Value Fn) {
 
 } // namespace
 
-void VM::installBaseFrame(Value Fn, const Value *Args, uint32_t NArgs) {
+void VM::installBaseFrame(Value Fn, const Value *Args, uint32_t NArgs,
+                          uint32_t Slots) {
   GCRoot FnRoot(H, Fn);
   RootedValues ArgRoots(H);
   for (uint32_t I = 0; I < NArgs; ++I)
     ArgRoots.push(Args[I]);
 
-  Value SegV = H.makeStackSeg(Cfg.SegmentSlots);
+  Value SegV = H.makeStackSeg(Slots);
   Regs.Seg = SegV;
   Regs.Base = 0;
   Regs.Fp = 0;
@@ -340,19 +341,21 @@ void VM::releaseRunState() {
 }
 
 bool VM::pollingGoverned() const {
-  // A cooperative-pool engine is always governed: per-fiber budgets arm
-  // the deadline at every switch-in, and those deadlines are only noticed
-  // by fuel-exhaustion polls.
+  // A pool engine is always governed: per-fiber budgets arm the deadline
+  // at every switch-in, and those deadlines are only noticed by
+  // fuel-exhaustion polls.
   return Cfg.Limits.HeapBytes != 0 || Cfg.Limits.MaxLiveSegments != 0 ||
-         Cfg.Limits.TimeoutMs != 0 || Fibers.CoopPool ||
+         Cfg.Limits.TimeoutMs != 0 || Fibers.PoolHost ||
          Cfg.Limits.FuelInterval != EngineLimits().FuelInterval;
 }
 
 int64_t VM::refillFuel() const {
   if (!pollingGoverned())
     return std::numeric_limits<int64_t>::max();
-  return Cfg.Limits.FuelInterval ? Cfg.Limits.FuelInterval
-                                 : EngineLimits().FuelInterval;
+  // A pool job's own interval applies while one of its fibers runs.
+  const ResourceAccount *A = H.account();
+  uint32_t Interval = A ? A->Limits.FuelInterval : Cfg.Limits.FuelInterval;
+  return Interval ? Interval : EngineLimits().FuelInterval;
 }
 
 void VM::resetGovernance() {
@@ -386,12 +389,12 @@ TripKind VM::pollSafePoint() {
   FuelLeft = refillFuel();
   ++Stats.SafePointPolls;
   // Consume only the interrupt bit: a concurrent sample poke stays
-  // pending for the next safe-point site. In cooperative-pool mode the
-  // bit is additionally left armed unless a fiber is switched in —
-  // consuming it inside scheduler glue would fail the slice with no job
-  // to attribute the trip to, silently discarding the interrupt.
+  // pending for the next safe-point site. On a pool engine the bit is
+  // additionally left armed unless a fiber is switched in — consuming it
+  // inside scheduler glue would fail the slice with no job to attribute
+  // the trip to, silently discarding the interrupt.
   if ((AsyncSignals.load(std::memory_order_relaxed) & SigInterrupt) &&
-      (!Fibers.CoopPool || Fibers.interruptDeliverable())) {
+      (!Fibers.PoolHost || Fibers.interruptDeliverable())) {
     AsyncSignals.fetch_and(~SigInterrupt, std::memory_order_relaxed);
     ++Stats.LimitInterrupts;
     return TripKind::Interrupt;
@@ -438,7 +441,7 @@ void VM::fillMetrics(MetricsRegistry &R) const {
 }
 
 Value VM::applyProcedure(Value Fn, const Value *Args, uint32_t NArgs,
-                         bool &Ok) {
+                         bool &Ok, uint32_t BaseSlots) {
   CMK_CHECK(!Running, "applyProcedure is not re-entrant");
   clearError();
   try {
@@ -466,7 +469,9 @@ Value VM::applyProcedure(Value Fn, const Value *Args, uint32_t NArgs,
       }
       // Natives invoked outside a run cannot touch continuation state;
       // give them a scratch frame context.
-      installBaseFrame(F, ArgRoots.values().data(), NArgs);
+      installBaseFrame(F, ArgRoots.values().data(), NArgs,
+                       BaseSlots ? std::max(BaseSlots, FrameHeaderSlots + NArgs)
+                                 : Cfg.SegmentSlots);
       Regs.CurCode = Value::undefined();
       Running = true;
       Value Res =
@@ -496,7 +501,10 @@ Value VM::applyProcedure(Value Fn, const Value *Args, uint32_t NArgs,
 
   Value F = FnRoot.get();
   CodeObj *Code = asCode(asClosure(F)->Code);
-  installBaseFrame(F, ArgRoots.values().data(), NArgs);
+  installBaseFrame(F, ArgRoots.values().data(), NArgs,
+                   BaseSlots ? std::max(BaseSlots, FrameHeaderSlots + NArgs +
+                                                       Code->FrameSize)
+                             : Cfg.SegmentSlots);
   if (!bindArgs(*this, Code, FrameHeaderSlots, NArgs,
                 procName(F).c_str())) {
     Ok = false;

@@ -95,7 +95,11 @@ public:
 
   /// Applies a procedure to arguments on a fresh stack; returns the result.
   /// On a runtime error, *Ok is set to false and errorMessage() explains.
-  Value applyProcedure(Value Fn, const Value *Args, uint32_t NArgs, bool &Ok);
+  /// \p BaseSlots sizes the fresh stack's first segment (0 = the
+  /// configured SegmentSlots); deeper execution overflows into regular
+  /// segments.
+  Value applyProcedure(Value Fn, const Value *Args, uint32_t NArgs, bool &Ok,
+                       uint32_t BaseSlots = 0);
 
   bool failed() const { return Failed; }
   const std::string &errorMessage() const { return ErrMsg; }
@@ -325,7 +329,9 @@ private:
   friend class SchemeEngine;
   friend class FiberScheduler;
 
-  void installBaseFrame(Value Fn, const Value *Args, uint32_t NArgs);
+  /// Starts a fresh stack on a segment of \p Slots slots.
+  void installBaseFrame(Value Fn, const Value *Args, uint32_t NArgs,
+                        uint32_t Slots);
 
   /// Re-arms fuel, deadline, and pending-trip state for a fresh run.
   void resetGovernance();

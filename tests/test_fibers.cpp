@@ -547,6 +547,118 @@ TEST(FiberPoolTest, ResultsMatchBlockingPool) {
   }
 }
 
+// ----------------------------------------------- per-job accounting ----
+
+TEST(FiberPoolTest, HeapBudgetTripsOnlyTheJobThatOverranIt) {
+  // Co-resident jobs on one worker engine: sleepers that allocate a little
+  // around their waits under a small budget of their own, and an eater
+  // under a larger one. The eater's bytes are charged to the eater alone,
+  // so only it trips, however the slices interleave.
+  PoolOptions O;
+  O.Workers = 1;
+  O.EnableFibers = true;
+  EnginePool Pool(O);
+  EngineLimits Small;
+  Small.HeapBytes = 1u << 20;
+  std::vector<std::future<JobResult>> Sleepers;
+  for (int I = 0; I < 4; ++I)
+    Sleepers.push_back(Pool.submit(
+        "(let loop ((i 0) (acc '()))"
+        "  (if (= i 20) (length acc)"
+        "      (begin (sleep-ms 1)"
+        "             (loop (+ i 1) (cons (make-vector 64 i) acc)))))",
+        Small));
+  EngineLimits Big;
+  Big.HeapBytes = 8u << 20;
+  Big.TimeoutMs = 5000; // Backstop: the budget trip is the expected exit.
+  JobResult Eater =
+      Pool.submit("(let loop ((a '())) (loop (cons (make-vector 1024 0) a)))",
+                  Big)
+          .get();
+  EXPECT_EQ(Eater.Outcome, JobOutcome::TrippedHeap) << Eater.Error;
+  for (auto &F : Sleepers) {
+    JobResult R = F.get();
+    EXPECT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
+    EXPECT_EQ(R.Output, "20");
+  }
+  EXPECT_EQ(Pool.stats().Engines.LimitHeapTrips, 1u);
+}
+
+TEST(FiberPoolTest, StackBudgetIsPerJob) {
+  // Deep recursion against a per-job segment budget trips that job alone;
+  // a co-resident job recursing deeper than that budget, without one,
+  // completes.
+  PoolOptions O;
+  O.Workers = 1;
+  O.EnableFibers = true;
+  EnginePool Pool(O);
+  const std::string Deep =
+      "(define (deep n) (if (= n 0) 0 (+ 1 (deep (- n 1)))))";
+  auto Free = Pool.submit(Deep + "(sleep-ms 5) (deep 200000)");
+  EngineLimits Tight;
+  Tight.MaxLiveSegments = 16;
+  Tight.TimeoutMs = 5000; // Backstop: the budget trip is the expected exit.
+  JobResult R = Pool.submit(Deep + "(deep 10000000)", Tight).get();
+  EXPECT_EQ(R.Outcome, JobOutcome::TrippedStack) << R.Error;
+  JobResult F = Free.get();
+  EXPECT_EQ(F.Outcome, JobOutcome::Ok) << F.Error;
+  EXPECT_EQ(F.Output, "200000");
+}
+
+TEST(FiberPoolTest, JobSlicesAreTracedAsJobSpans) {
+  // Fiber-mode jobs appear in the merged timeline like blocking ones: one
+  // "job-<id>" span per run slice, even for jobs that park in between.
+  PoolOptions O;
+  O.Workers = 1;
+  O.EnableFibers = true;
+  O.TraceCapacity = 4096;
+  EnginePool Pool(O);
+  std::vector<std::future<JobResult>> Fs;
+  for (int I = 0; I < 4; ++I)
+    Fs.push_back(Pool.submit("(begin (sleep-ms 2) " + std::to_string(I) + ")"));
+  for (auto &F : Fs)
+    EXPECT_EQ(F.get().Outcome, JobOutcome::Ok);
+  Pool.shutdown();
+  std::string Trace = Pool.traceJson();
+  for (int I = 1; I <= 4; ++I)
+    EXPECT_NE(Trace.find("\"name\":\"job-" + std::to_string(I) + "\""),
+              std::string::npos)
+        << "missing span for job " << I;
+}
+
+TEST(FiberPoolTest, VictimsOfACoResidentFatalFailureRetry) {
+  // A reserve escalator poisons the shared engine; the parked job beside
+  // it is lost with the engine, and — its loss being transient to it —
+  // re-runs on the rebuilt engine under its retry policy.
+  PoolOptions O;
+  O.Workers = 1;
+  O.EnableFibers = true;
+  EnginePool Pool(O);
+  RetryPolicy RP;
+  RP.MaxAttempts = 2;
+  auto Victim = Pool.submit("(begin (sleep-ms 50) 'survived)",
+                            SubmitOptions().retry(RP));
+  EngineLimits L;
+  L.HeapBytes = 4u << 20;
+  L.HeapHeadroomBytes = 256u << 10;
+  JobResult Culprit =
+      Pool.submit("(define sink '())"
+                  "(with-handlers ([exn:heap-limit? (lambda (e)"
+                  "  (let loop () (set! sink (cons (make-vector 4096 0) sink))"
+                  "    (loop)))])"
+                  "  (let loop () (set! sink (cons (make-vector 4096 0) sink))"
+                  "    (loop)))",
+                  L)
+          .get();
+  EXPECT_EQ(Culprit.Outcome, JobOutcome::TrippedHeap) << Culprit.Error;
+  EXPECT_EQ(Culprit.Attempts, 1u);
+  JobResult R = Victim.get();
+  EXPECT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
+  EXPECT_EQ(R.Output, "survived");
+  EXPECT_EQ(R.Attempts, 2u);
+  EXPECT_EQ(Pool.telemetry().WorkerRestarts, 1u);
+}
+
 TEST(FiberPoolTest, CleanShutdownWithParkedJobs) {
   PoolOptions O;
   O.Workers = 2;

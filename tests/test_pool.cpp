@@ -548,6 +548,45 @@ TEST(PoolTest, DeadlineBoundsRunTimeViaTimeoutConversion) {
   EXPECT_EQ(R.Kind, ErrorKind::Timeout);
 }
 
+TEST(PoolTest, TimeoutBudgetsOnCpuTimeInBlockingModeToo) {
+  // One meaning for per-job limits in every pool mode: a blocking job's
+  // wait holds its worker but, as in fiber mode, not its run-time budget;
+  // its deadline stays wall-clock.
+  PoolOptions O;
+  O.Workers = 1;
+  O.DefaultJobLimits.TimeoutMs = 50;
+  EnginePool Pool(O);
+  JobResult R = Pool.submit("(begin (sleep-ms 150) 'ok)").get();
+  EXPECT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
+  EXPECT_EQ(R.Output, "ok");
+  JobResult Late = Pool.submit("(begin (sleep-ms 5000) 'late)",
+                               SubmitOptions().deadlineMs(60))
+                       .get();
+  EXPECT_EQ(Late.Outcome, JobOutcome::TrippedTimeout) << Late.Error;
+}
+
+TEST(PoolTest, HeapBudgetIsTheJobsOwnNotTheEngines) {
+  // A job's heap budget counts what the job holds, not the engine's
+  // prelude and globals: a budget below the engine's own footprint still
+  // lets a small job run, and a large one still trips.
+  PoolOptions O;
+  O.Workers = 1;
+  EnginePool Pool(O);
+  EngineLimits L;
+  L.HeapBytes = 512u << 10;
+  const std::string Build = "(let loop ((i 0) (a '())) (if (= i N) (length a)"
+                            " (loop (+ i 1) (cons i a))))";
+  auto Sized = [&](const char *N) {
+    std::string S = Build;
+    return S.replace(S.find('N'), 1, N);
+  };
+  JobResult Small = Pool.submit(Sized("1000"), L).get();
+  EXPECT_EQ(Small.Outcome, JobOutcome::Ok) << Small.Error;
+  EXPECT_EQ(Small.Output, "1000");
+  JobResult Big = Pool.submit(Sized("100000"), L).get();
+  EXPECT_EQ(Big.Outcome, JobOutcome::TrippedHeap) << Big.Error;
+}
+
 TEST(PoolTest, RetryBackoffIsDeterministicAndCapped) {
   RetryPolicy P;
   P.BaseBackoffMs = 4;

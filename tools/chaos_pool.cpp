@@ -58,6 +58,7 @@ struct ChaosOptions {
   uint64_t DeadlineMs = 0;      ///< 0 = no per-job deadline.
   uint64_t QueueWaitBudgetMs = 0; ///< 0 = admission control off.
   uint32_t Breaker = 6;         ///< Consecutive-fatal circuit breaker.
+  bool Fibers = false;          ///< Run the mix on a fiber-mode pool.
   uint64_t GoodputPct = 90;     ///< Minimum healthy-job success rate.
   uint64_t WatchdogSec = 300;   ///< Hang -> diagnostics + exit 2.
   unsigned HostilePermille[3] = {60, 50, 30}; ///< spinner/eater/escalator.
@@ -198,6 +199,8 @@ void usage() {
       "  --queue-budget-ms=N  arm admission control at this queue-wait\n"
       "                     p99 budget (default off)\n"
       "  --breaker=N        consecutive-fatal circuit breaker (default 6)\n"
+      "  --fibers           serve the mix cooperatively (EnableFibers): the\n"
+      "                     hostile jobs' limits must still hit only them\n"
       "  --goodput=PCT      minimum healthy success rate (default 90)\n"
       "  --watchdog-sec=N   hang watchdog (default 300)\n"
       "  --fault-spec=SPEC  set CMARKS_FAULT_SPEC for the worker engines\n"
@@ -243,6 +246,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg.rfind("--breaker=", 0) == 0 &&
                parseU64(Arg.c_str() + 10, N)) {
       C.Breaker = static_cast<uint32_t>(N);
+    } else if (Arg == "--fibers") {
+      C.Fibers = true;
     } else if (Arg.rfind("--goodput=", 0) == 0 &&
                parseU64(Arg.c_str() + 10, N) && N <= 100) {
       C.GoodputPct = N;
@@ -294,6 +299,7 @@ int main(int Argc, char **Argv) {
   PO.BreakerThreshold = C.Breaker;
   PO.QueueWaitBudgetMs = C.QueueWaitBudgetMs;
   PO.TraceCapacity = 8192;
+  PO.EnableFibers = C.Fibers;
   uint64_t T0 = nowNanos();
   uint64_t Restarts = 0, BreakerOpens = 0, Retries = 0;
   Ledger Total;
@@ -459,13 +465,14 @@ int main(int Argc, char **Argv) {
 
     uint64_t ElapsedMs = (nowNanos() - T0) / 1000000;
     std::printf(
-        "chaos_pool: %llu jobs / %u workers / seed %llu in %llu ms\n"
+        "chaos_pool: %llu jobs / %u %s workers / seed %llu in %llu ms\n"
         "  outcomes: ok=%llu error=%llu heap=%llu stack=%llu timeout=%llu "
         "interrupt=%llu expired=%llu shed=%llu rejected=%llu\n"
         "  mix: healthy=%llu spinner=%llu eater=%llu escalator=%llu\n"
         "  goodput=%.1f%% restarts=%llu breaker-opens=%llu retries=%llu "
         "retried-jobs=%llu\n",
         static_cast<unsigned long long>(C.Jobs), C.Workers,
+        C.Fibers ? "fiber" : "blocking",
         static_cast<unsigned long long>(C.Seed),
         static_cast<unsigned long long>(ElapsedMs),
         static_cast<unsigned long long>(Total.ByOutcome[0]),
