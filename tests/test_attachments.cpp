@@ -400,6 +400,10 @@ struct SkeletonCase {
   const char *Body;
 };
 
+/// Prints the case name, so the listed test names stay the same from build
+/// to build instead of carrying the string pointers' addresses.
+void PrintTo(const SkeletonCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class ImitationEquivalence : public ::testing::TestWithParam<SkeletonCase> {};
 
 std::string substitute(std::string Body, bool Builtin) {
