@@ -615,41 +615,94 @@ void Heap::markFromWorklist() {
   }
 }
 
+bool Heap::hasSurvivor(const Block &B) {
+  for (char *P = B.Mem; P < B.Mem + B.Used;) {
+    ObjHeader *O = reinterpret_cast<ObjHeader *>(P);
+    if (static_cast<uint8_t>(O->Kind) != FreeChunkKind &&
+        (O->Flags & (objflags::GCMark | objflags::Immortal)))
+      return true;
+    P += O->SizeBytes;
+  }
+  return false;
+}
+
+void Heap::retire(ObjHeader *O) {
+  if (O->Kind == ObjKind::Port && O->Aux == 1)
+    delete static_cast<std::string *>(reinterpret_cast<PortObj *>(O)->Stream);
+  if (O->Kind == ObjKind::StackSeg && LiveSegments > 0)
+    --LiveSegments;
+  BytesInUse -= O->SizeBytes;
+}
+
+void Heap::pushFreeChunk(ObjHeader *O) {
+  O->Kind = static_cast<ObjKind>(FreeChunkKind);
+  auto *F = reinterpret_cast<FreeChunk *>(O);
+  size_t Class = sizeClassOf(O->SizeBytes);
+  F->Next = FreeLists[Class];
+  FreeLists[Class] = F;
+}
+
+uint64_t Heap::reservedBytes() const {
+  uint64_t Bytes = 0;
+  for (const Block &B : Blocks)
+    Bytes += B.Size;
+  for (const Block &B : NurseryBlocks)
+    Bytes += B.Size;
+  for (const ObjHeader *O : LargeObjs)
+    Bytes += O->SizeBytes;
+  return Bytes;
+}
+
 void Heap::sweep() {
   uint64_t LiveBytes = 0;
   for (size_t I = 0; I < NumSizeClasses; ++I)
     FreeLists[I] = nullptr;
 
-  for (Block &B : Blocks) {
-    char *P = B.Mem;
-    while (P < B.Mem + B.Used) {
+  // A block in which nothing survived is released whole instead of being
+  // threaded onto the free lists, so a block tenured for one transient
+  // survivor comes back as soon as that survivor dies.
+  std::vector<Block> Kept, Emptied;
+  Kept.reserve(Blocks.size());
+  for (size_t I = 0; I < Blocks.size(); ++I) {
+    Block &B = Blocks[I];
+    bool Live = hasSurvivor(B);
+    for (char *P = B.Mem; P < B.Mem + B.Used;) {
       ObjHeader *O = reinterpret_cast<ObjHeader *>(P);
-      uint32_t Size = O->SizeBytes;
-      if (static_cast<uint8_t>(O->Kind) == FreeChunkKind) {
-        auto *F = reinterpret_cast<FreeChunk *>(O);
-        F->Next = FreeLists[sizeClassOf(Size)];
-        FreeLists[sizeClassOf(Size)] = F;
-      } else if ((O->Flags & objflags::GCMark) ||
-                 (O->Flags & objflags::Immortal)) {
-        O->Flags &= ~objflags::GCMark;
-        LiveBytes += Size;
-      } else {
-        if (O->Kind == ObjKind::Port && O->Aux == 1)
-          delete static_cast<std::string *>(
-              reinterpret_cast<PortObj *>(O)->Stream);
-        if (O->Kind == ObjKind::StackSeg && LiveSegments > 0)
-          --LiveSegments;
-        BytesInUse -= Size;
-        O->Kind = static_cast<ObjKind>(FreeChunkKind);
-        auto *F = reinterpret_cast<FreeChunk *>(O);
-        F->Next = FreeLists[sizeClassOf(Size)];
-        FreeLists[sizeClassOf(Size)] = F;
+      P += O->SizeBytes;
+      if (static_cast<uint8_t>(O->Kind) != FreeChunkKind) {
+        if (O->Flags & (objflags::GCMark | objflags::Immortal)) {
+          O->Flags &= ~objflags::GCMark;
+          LiveBytes += O->SizeBytes;
+          continue;
+        }
+        retire(O);
       }
-      P += Size;
+      if (Live)
+        pushFreeChunk(O);
+    }
+    if (Live) {
+      Kept.push_back(B);
+    } else if (I + 1 == Blocks.size()) {
+      B.Used = 0; // The current bump block stays, rewound.
+      Kept.push_back(B);
+    } else {
+      Emptied.push_back(B);
     }
   }
+  Blocks.swap(Kept);
 
   sweepNursery(LiveBytes);
+  // Emptied blocks that came from the nursery refill its spares; this runs
+  // after sweepNursery so its counters still count only nursery blocks.
+  for (Block &B : Emptied) {
+    if (B.Size == NurseryBlockSize &&
+        NurseryBlocks.size() < MaxSpareNurseryBlocks) {
+      B.Used = 0;
+      NurseryBlocks.push_back(B);
+    } else {
+      std::free(B.Mem);
+    }
+  }
 
   std::vector<ObjHeader *> SurvivingLarge;
   SurvivingLarge.reserve(LargeObjs.size());
@@ -674,12 +727,7 @@ void Heap::sweep() {
         --LiveSegments;
       SurvivingLarge.push_back(O);
     } else {
-      if (O->Kind == ObjKind::Port && O->Aux == 1)
-        delete static_cast<std::string *>(
-            reinterpret_cast<PortObj *>(O)->Stream);
-      if (O->Kind == ObjKind::StackSeg && LiveSegments > 0)
-        --LiveSegments;
-      BytesInUse -= O->SizeBytes;
+      retire(O);
       std::free(O);
     }
   }
@@ -689,31 +737,18 @@ void Heap::sweep() {
 
 void Heap::sweepNursery(uint64_t &LiveBytes) {
   std::vector<Block> Kept;
-  size_t EmptyKept = 0;
   for (Block &B : NurseryBlocks) {
-    bool AnyLive = false;
-    for (char *P = B.Mem; P < B.Mem + B.Used;) {
-      ObjHeader *O = reinterpret_cast<ObjHeader *>(P);
-      if (static_cast<uint8_t>(O->Kind) != FreeChunkKind &&
-          (O->Flags & (objflags::GCMark | objflags::Immortal))) {
-        AnyLive = true;
-        break;
-      }
-      P += O->SizeBytes;
-    }
-    if (!AnyLive) {
+    if (!hasSurvivor(B)) {
       // Everything in the block died young: rewind it wholesale. Keep a
       // few empty blocks hot for the next mutator burst, free the rest.
       BytesInUse -= B.Used;
       if (B.Used != 0 && VmStatsPtr)
         ++VmStatsPtr->NurseryResets;
       B.Used = 0;
-      if (EmptyKept < MaxSpareNurseryBlocks) {
+      if (Kept.size() < MaxSpareNurseryBlocks)
         Kept.push_back(B);
-        ++EmptyKept;
-      } else {
+      else
         std::free(B.Mem);
-      }
       continue;
     }
     // Survivors: tenure the whole block into the mark-sweep block set,
@@ -721,22 +756,16 @@ void Heap::sweepNursery(uint64_t &LiveBytes) {
     // the tenured sweep would.
     for (char *P = B.Mem; P < B.Mem + B.Used;) {
       ObjHeader *O = reinterpret_cast<ObjHeader *>(P);
-      uint32_t Size = O->SizeBytes;
-      if (static_cast<uint8_t>(O->Kind) != FreeChunkKind &&
-          (O->Flags & (objflags::GCMark | objflags::Immortal))) {
+      P += O->SizeBytes;
+      if (static_cast<uint8_t>(O->Kind) == FreeChunkKind)
+        continue;
+      if (O->Flags & (objflags::GCMark | objflags::Immortal)) {
         O->Flags &= ~objflags::GCMark;
-        LiveBytes += Size;
-      } else if (static_cast<uint8_t>(O->Kind) != FreeChunkKind) {
-        if (O->Kind == ObjKind::Port && O->Aux == 1)
-          delete static_cast<std::string *>(
-              reinterpret_cast<PortObj *>(O)->Stream);
-        BytesInUse -= Size;
-        O->Kind = static_cast<ObjKind>(FreeChunkKind);
-        auto *F = reinterpret_cast<FreeChunk *>(O);
-        F->Next = FreeLists[sizeClassOf(Size)];
-        FreeLists[sizeClassOf(Size)] = F;
+        LiveBytes += O->SizeBytes;
+      } else {
+        retire(O);
+        pushFreeChunk(O);
       }
-      P += Size;
     }
     Blocks.push_back(B);
     if (VmStatsPtr)
@@ -760,8 +789,8 @@ void Heap::collect() {
   for (RootedValues *RV : TempVectors)
     for (Value V : RV->Vals)
       traceValue(V);
-  // Symbols are immortal, but trace the table so bucket entries stay valid
-  // even if immortality rules change.
+  // The symbol table is not traced: interned symbols are immortal, and
+  // uninterned ones (gensyms) live only while something reaches them.
   markFromWorklist();
   sweep();
 
@@ -1186,10 +1215,9 @@ Value Heap::gensym(const char *Prefix) {
   int N = std::snprintf(Buf, sizeof(Buf), "%s~%llu", Prefix,
                         static_cast<unsigned long long>(GensymCounter++));
   // Uninterned: allocate a symbol object without a table entry, so it is
-  // eq? only to itself.
+  // eq? only to itself and is collected like any object once unreachable.
   auto *S = static_cast<SymbolObj *>(
       allocRaw(sizeof(SymbolObj) + N, ObjKind::Symbol));
-  S->H.Flags |= objflags::Immortal;
   S->Hash = fnv1a(Buf, N);
   S->Len = N;
   std::memcpy(S->Data, Buf, N);

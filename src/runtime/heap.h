@@ -172,6 +172,7 @@ public:
   }
 
   /// Generates a fresh, uninterned symbol (gensym) for private mark keys.
+  /// Unlike an interned symbol it is collected once unreachable.
   Value gensym(const char *Prefix);
 
   // --- Collection ----------------------------------------------------------
@@ -254,6 +255,10 @@ public:
   /// Bytes currently committed to objects (live + not-yet-swept garbage);
   /// the quantity the heap byte budget governs.
   uint64_t bytesInUse() const { return BytesInUse; }
+  /// Bytes the heap holds from the host allocator: tenured and nursery
+  /// blocks plus large objects, pooled segments included. The gap to
+  /// bytesInUse() is free space inside blocks.
+  uint64_t reservedBytes() const;
   /// Live stack segments; the quantity the segment budget governs.
   uint32_t liveStackSegments() const { return LiveSegments; }
 
@@ -350,6 +355,13 @@ private:
   void traceObject(ObjHeader *O);
   void sweep();
   void sweepNursery(uint64_t &LiveBytes);
+  /// True when the mark phase reached an object in \p B or \p B holds an
+  /// immortal one.
+  static bool hasSurvivor(const Block &B);
+  /// Finalizes the dead object \p O and takes it out of the gauges.
+  void retire(ObjHeader *O);
+  /// Turns the dead object \p O into a free chunk on its size-class list.
+  void pushFreeChunk(ObjHeader *O);
   /// Inserts a dead/vacated segment into the pool; false when recycling is
   /// off or the pool byte cap is reached (caller leaves it for the sweep).
   bool pushPooledSeg(StackSegObj *S);
@@ -377,7 +389,8 @@ private:
   std::vector<GCRoot *> TempRoots;
   std::vector<RootedValues *> TempVectors;
 
-  // Symbol interning table: name -> symbol value (symbols are immortal).
+  // Symbol interning table: name -> symbol value (interned symbols are
+  // immortal, so the table needs no tracing).
   struct SymTableEntry {
     uint64_t Hash;
     Value Sym;

@@ -65,7 +65,7 @@ static_assert(sizeof(ObjHeader) == 8, "header must stay one word");
 
 namespace objflags {
 inline constexpr uint8_t GCMark = 1 << 0;
-inline constexpr uint8_t Immortal = 1 << 1; ///< Never swept (symbols).
+inline constexpr uint8_t Immortal = 1 << 1; ///< Never swept (interned symbols).
 /// StackSeg only: some full/promoted continuation record references this
 /// segment, so the VM must never hand it back to the segment pool eagerly
 /// (sweep still recycles it once it is unreachable).

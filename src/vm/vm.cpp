@@ -436,6 +436,9 @@ void VM::fillMetrics(MetricsRegistry &R) const {
             "Profile samples lost to ring wraparound", {}, Prof.dropped());
   R.gauge("cmarks_engine_heap_bytes", "Committed heap bytes (incl. garbage)",
           {}, static_cast<double>(H.bytesInUse()));
+  R.gauge("cmarks_engine_heap_reserved_bytes",
+          "Heap bytes held from malloc (blocks, large objects, segment pool)",
+          {}, static_cast<double>(H.reservedBytes()));
   R.gauge("cmarks_engine_live_segments", "Live stack segments", {},
           static_cast<double>(H.liveStackSegments()));
 }

@@ -478,6 +478,16 @@ TEST(FiberPoolTest, RunawayJobDoesNotStarveSiblings) {
   EXPECT_EQ(Spin.get().Outcome, JobOutcome::TrippedTimeout);
 }
 
+/// The worker builds its engine lazily, which takes longer than the timed
+/// jobs below leave under a sanitizer: a 60 ms deadline would expire in the
+/// queue, and an interrupt sent before the engine runs the job reaches an
+/// idle engine and is dropped. One job run to completion first puts the
+/// timed job on a ready engine.
+void waitForWorkerEngine(EnginePool &Pool) {
+  JobResult R = Pool.submit("(+ 1 2)").get();
+  ASSERT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
+}
+
 TEST(FiberPoolTest, DeadlinesExpireParkedJobs) {
   // A job parked past its wall-clock deadline is woken and evicted with
   // a timeout trip — parking is budget-free, not deadline-free.
@@ -485,6 +495,7 @@ TEST(FiberPoolTest, DeadlinesExpireParkedJobs) {
   O.Workers = 1;
   O.EnableFibers = true;
   EnginePool Pool(O);
+  waitForWorkerEngine(Pool);
   SubmitOptions SO;
   SO.deadlineMs(60);
   JobResult R = Pool.submit("(begin (sleep-ms 5000) 'late)", SO).get();
@@ -496,6 +507,7 @@ TEST(FiberPoolTest, InterruptAllReachesParkedJobs) {
   O.Workers = 1;
   O.EnableFibers = true;
   EnginePool Pool(O);
+  waitForWorkerEngine(Pool);
   auto F = Pool.submit("(begin (sleep-ms 5000) 'late)");
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Pool.interruptAll();

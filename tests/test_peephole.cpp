@@ -343,6 +343,9 @@ std::string runModel(SchemeEngine &E, const std::string &Src, bool &OkOut) {
   }
   GCRoot ProgramRoot(E.heap(), Program);
 
+  // The AST holds values (gensym'd names among them) the collector cannot
+  // see, so nothing may be collected until the model has run.
+  GCPauseScope Pause(E.heap());
   AstContext Ctx;
   Expander Exp(E.heap(), E.vm().wellKnown(), Ctx, E.compiler());
   LambdaNode *Toplevel = Exp.expandToplevel(ProgramRoot.get());

@@ -4,14 +4,20 @@
 // per-engine size-classed pool instead of waiting for the sweep, the
 // heap-frames strategy stops paying a fresh segment allocation per call
 // AND per return (the 2x double-alloc bug), pooled memory stays inside the
-// PR 3 byte budgets, failed runs hand their condemned segments back, and
-// the mark-frame/pair nursery rewinds cheaply when a block dies young.
+// byte budgets (DESIGN.md §9), failed runs hand their condemned segments
+// back, the mark-frame/pair nursery rewinds cheaply when a block dies
+// young, and a long-lived engine's footprint stays bounded by its live data.
 //
 //===----------------------------------------------------------------------===//
 
 #include "test_helpers.h"
 
+#include "../bench/programs/control.h"
+#include "../bench/programs/effects.h"
 #include "support/stats.h"
+
+#include <chrono>
+#include <thread>
 
 using namespace cmk;
 
@@ -210,6 +216,128 @@ TEST(Recycle, NurseryCountersMove) {
   EXPECT_GT(S.NurseryResets + S.NurseryPromotions, 0u);
   if (statsDetailEnabled())
     EXPECT_GT(S.NurseryAllocs, 100000u);
+}
+
+// ---------------------------------------------------------------- footprint --
+
+TEST(Recycle, UninternedSymbolsAreCollected) {
+  // Every compiled with-continuation-mark and every make-parameter mints a
+  // gensym. Once unreachable it is garbage like any other object, so live
+  // data after a collection does not grow with the number of evals.
+  SchemeEngine E;
+  auto LiveAfter = [&E](int Evals) {
+    for (int I = 0; I < Evals; ++I) {
+      E.evalOrDie("(with-continuation-mark 'k 1 (+ 1 2))");
+      E.evalOrDie("(make-parameter 0)");
+    }
+    E.heap().collect();
+    return E.heap().stats().LiveBytesAfterLastGC;
+  };
+  uint64_t After2k = LiveAfter(2000);
+  EXPECT_EQ(LiveAfter(18000), After2k);
+}
+
+TEST(Recycle, ReachableGensymsKeepTheirIdentity) {
+  // A gensym reachable from a global, or only from a parameter object as
+  // its key, survives collections: no later gensym takes over its memory.
+  SchemeEngine E;
+  E.evalOrDie("(define g (gensym \"keep\"))\n"
+              "(define name (symbol->string g))\n"
+              "(define p (make-parameter 5))");
+  for (int I = 0; I < 3; ++I) {
+    E.evalOrDie("(let loop ([i 0])\n"
+                "  (when (< i 20000) (gensym \"churn\") (loop (+ i 1))))");
+    E.heap().collect();
+  }
+  expectEval(E,
+             "(list (string=? (symbol->string g) name)\n"
+             "      (with-continuation-mark g 7\n"
+             "        (continuation-mark-set-first #f g))\n"
+             "      (parameterize ([p 9]) (p)) (p))",
+             "(#t 7 9 5)");
+}
+
+/// What an engine holds from malloc after a collection, less the segment
+/// pool: that is a cache capped at 16 MiB whose fill level depends on how
+/// many segments died at once, so it would dominate and blur the bound.
+uint64_t collectedFootprint(SchemeEngine &E) {
+  E.heap().collect();
+  return E.heap().reservedBytes() - E.heap().pooledSegmentBytes();
+}
+
+TEST(Recycle, LongLivedEngineFootprintIsBounded) {
+  // Collections that fire mid-run tenure the nursery block being filled;
+  // once its survivors die the block must come back. One engine runs the
+  // ctak and effect-handler programs 3000 times through ~50 collections;
+  // what it holds stays where it was after the first tenth.
+  SchemeEngine E;
+  E.evalOrDie(cmkbench::ctakSource());
+  E.evalOrDie(cmkbench::effectHandlersSource());
+  uint64_t At300 = 0;
+  for (int I = 1; I <= 3000; ++I) {
+    E.evalOrDie("(ctak 9 6 3)");
+    E.evalOrDie("(eff-counter 10)");
+    if (I == 300)
+      At300 = collectedFootprint(E);
+  }
+  expectEval(E, "(list (ctak 9 6 3) (eff-counter 10))", "(6 (10 10 0))");
+  EXPECT_LE(collectedFootprint(E), 2 * At300);
+  EXPECT_GT(E.heap().stats().Collections, 40u);
+}
+
+TEST(Recycle, FiberPoolEngineFootprintIsBounded) {
+  // A cooperative pool engine serving 20k jobs, 32 in flight, each parked
+  // around a mark-churn loop: parked fibers' frames are the transient
+  // survivors that tenure blocks, and each compiled job mints a gensym.
+  const std::string Job =
+      "(let ((acc 0))\n"
+      "  (sleep-ms 1)\n"
+      "  (set! acc (let loop ((i 0) (acc 0))\n"
+      "    (if (= i 32) acc\n"
+      "        (with-continuation-mark 'k i\n"
+      "          (loop (+ i 1)\n"
+      "                (+ acc (car (continuation-mark-set->list\n"
+      "                             (current-continuation-marks) 'k))))))))\n"
+      "  (sleep-ms 1)\n"
+      "  acc)";
+  SchemeEngine E;
+  E.enableFiberPool(/*Cooperative=*/true);
+  const int Jobs = 20000;
+  int Spawned = 0, Done = 0, InFlight = 0;
+  uint64_t At2000 = 0;
+  while (Done < Jobs) {
+    for (; InFlight < 32 && Spawned < Jobs; ++InFlight) {
+      std::string Err;
+      ASSERT_NE(E.spawnFiberJob(Job, EngineLimits(), ++Spawned, 0, 0, &Err),
+                0u)
+          << Err;
+    }
+    E.runFiberSlice();
+    ASSERT_TRUE(E.ok()) << E.lastError();
+    for (const FiberJobInfo &J : E.takeFinishedFiberJobs()) {
+      ASSERT_TRUE(J.Ok) << J.Output;
+      ASSERT_EQ(J.Output, "496");
+      --InFlight;
+      if (++Done == Jobs / 10)
+        At2000 = collectedFootprint(E);
+    }
+    if (!E.fiberHasRunnable())
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(E.fiberNextTimerDelayNs()));
+  }
+  EXPECT_LE(collectedFootprint(E), 2 * At2000);
+}
+
+TEST(Recycle, ReservedBytesGaugeCoversTheHeap) {
+  // The reserved gauge counts what the heap holds from malloc, so it never
+  // reads below the committed bytes, and both reach the metrics export.
+  SchemeEngine E;
+  E.evalOrDie(deepChurn());
+  E.evalOrDie("(churn 3 5000)");
+  EXPECT_GE(E.heap().reservedBytes(), E.heap().bytesInUse());
+  std::string Text = E.metricsText();
+  EXPECT_NE(Text.find("cmarks_engine_heap_bytes "), std::string::npos);
+  EXPECT_NE(Text.find("cmarks_engine_heap_reserved_bytes "), std::string::npos);
 }
 
 } // namespace
