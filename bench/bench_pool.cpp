@@ -240,6 +240,7 @@ Measurement runChaosBatch(unsigned W, long Jobs) {
     Counters = Telemetry.Stats.Engines;
   }
   Measurement Out{{Wall.averageMillis(), Wall.stddevMillis()}, Counters, {}};
+  const PoolStats &S = Telemetry.Stats;
   Out.Extras = {
       {"job_p50_ms", Telemetry.RunUs.percentile(50) / 1000.0},
       {"job_p99_ms", Telemetry.RunUs.percentile(99) / 1000.0},
@@ -248,10 +249,12 @@ Measurement runChaosBatch(unsigned W, long Jobs) {
        Healthy ? 100.0 * static_cast<double>(HealthyOk) /
                      static_cast<double>(Healthy)
                : 100.0},
-      {"worker_restarts", static_cast<double>(Telemetry.WorkerRestarts)},
-      {"jobs_shed", static_cast<double>(Telemetry.JobsShed)},
-      {"jobs_expired", static_cast<double>(Telemetry.JobsExpired)},
-      {"retries", static_cast<double>(Telemetry.RetriesAttempted)},
+      {"worker_restarts", static_cast<double>(S.WorkerRestarts)},
+      {"jobs_shed",
+       static_cast<double>(S.ByOutcome[static_cast<int>(JobOutcome::Shed)])},
+      {"jobs_expired",
+       static_cast<double>(S.ByOutcome[static_cast<int>(JobOutcome::Expired)])},
+      {"retries", static_cast<double>(S.RetriesAttempted)},
   };
   return Out;
 }

@@ -190,32 +190,38 @@ int main(int Argc, char **Argv) {
 
   PoolTelemetry T = Pool.telemetry();
   const PoolStats &S = T.Stats;
-  std::printf("served %llu jobs on %u workers: completed=%llu "
-              "tripped=%llu expired=%llu queue-high-water=%llu "
+  auto Jobs = [&S](JobOutcome O) { return S.ByOutcome[static_cast<int>(O)]; };
+  std::printf("served %llu jobs on %u workers: ok=%llu "
+              "tripped-timeout=%llu expired=%llu queue-high-water=%llu "
               "mark-creates=%llu\n",
               static_cast<unsigned long long>(S.JobsSubmitted),
               Pool.workerCount(),
-              static_cast<unsigned long long>(S.JobsCompleted),
-              static_cast<unsigned long long>(S.JobsTripped),
-              static_cast<unsigned long long>(S.JobsExpired),
+              static_cast<unsigned long long>(Jobs(JobOutcome::Ok)),
+              static_cast<unsigned long long>(Jobs(JobOutcome::TrippedTimeout)),
+              static_cast<unsigned long long>(Jobs(JobOutcome::Expired)),
               static_cast<unsigned long long>(S.QueueHighWater),
               static_cast<unsigned long long>(S.Engines.MarkFrameCreates));
   // 100 client requests completed; the hostile request and the four hogs
   // tripped their timeouts; the 30 ms-deadline request expired unrun.
-  if (S.JobsCompleted != 100 || S.JobsTripped != 5 || S.JobsExpired != 1)
+  if (Jobs(JobOutcome::Ok) != 100 || Jobs(JobOutcome::TrippedTimeout) != 5 ||
+      Jobs(JobOutcome::Expired) != 1)
     ++Failures;
 
   // Telemetry sanity: the histograms must cover every retired job (the
   // queue-wait histogram also covers jobs that expired in the queue), the
-  // retirement path must agree with the outcome counters, and both export
+  // retirement path must agree with the outcome counts, and both export
   // formats must carry the schema markers tooling keys on.
-  uint64_t Retired = S.JobsCompleted + S.JobsFailed + S.JobsTripped;
+  uint64_t Retired = Jobs(JobOutcome::Ok) + Jobs(JobOutcome::Error) +
+                     Jobs(JobOutcome::TrippedHeap) +
+                     Jobs(JobOutcome::TrippedStack) +
+                     Jobs(JobOutcome::TrippedTimeout) +
+                     Jobs(JobOutcome::TrippedInterrupt);
   std::printf("latency: run p50=%lluus p99=%lluus  queue-wait p99=%lluus\n",
               static_cast<unsigned long long>(T.RunUs.percentile(50)),
               static_cast<unsigned long long>(T.RunUs.percentile(99)),
               static_cast<unsigned long long>(T.QueueWaitUs.percentile(99)));
   if (T.RunUs.count() != Retired ||
-      T.QueueWaitUs.count() != Retired + S.JobsExpired) {
+      T.QueueWaitUs.count() != Retired + Jobs(JobOutcome::Expired)) {
     std::printf("FAIL histogram coverage: run=%llu wait=%llu retired=%llu\n",
                 static_cast<unsigned long long>(T.RunUs.count()),
                 static_cast<unsigned long long>(T.QueueWaitUs.count()),

@@ -208,8 +208,9 @@ public:
   std::vector<FiberJobInfo> takeFinishedFiberJobs();
 
   bool fiberHasRunnable() const { return Machine.Fibers.hasRunnable(); }
-  /// Id of the fiber switched in when the last slice failed (0 for none).
-  uint64_t currentFiberId() const { return Machine.Fibers.currentId(); }
+  /// Pool job id of the fiber switched in when the last slice failed (0
+  /// for none).
+  uint64_t currentJobId() const { return Machine.Fibers.currentJobId(); }
   /// Nanoseconds until the earliest parked deadline (0 when no timers).
   uint64_t fiberNextTimerDelayNs() const {
     return Machine.Fibers.nextTimerDelayNs();

@@ -40,8 +40,7 @@ bool cmk::bodyHasTailCall(const WellKnown &WK, Node *N,
     return bodyHasTailCall(WK, static_cast<LetNode *>(N)->Body, Opts);
   case NodeKind::Call: {
     auto *C = static_cast<CallNode *>(N);
-    if (Opts.EnablePrimRecognition && Opts.InlinePrimitives &&
-        C->Fn->K == NodeKind::GlobalRef &&
+    if (Opts.EnablePrimRecognition && C->Fn->K == NodeKind::GlobalRef &&
         isInlinablePrim(WK, asGlobalRef(C->Fn)->Sym))
       return false; // Paper: "+ does not tail-call any function that might
                     // inspect or manipulate continuation attachments".

@@ -316,7 +316,7 @@ void FnEmitter::compileExpr(Node *N, bool Tail) {
 }
 
 bool FnEmitter::tryInlinePrim(CallNode *C) {
-  if (!Opts.InlinePrimitives || C->Fn->K != NodeKind::GlobalRef)
+  if (C->Fn->K != NodeKind::GlobalRef)
     return false;
   Value Sym = asGlobalRef(C->Fn)->Sym;
   if (!isInlinablePrim(WK, Sym))

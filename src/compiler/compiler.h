@@ -10,8 +10,7 @@
 ///  - EnablePrimRecognition  off = the "no prim" variant (inlined primitive
 ///    applications no longer enable the direct push/pop category);
 ///  - AttachmentConstraint  off = pre-attachment cp0 behaviour (the "unmod"
-///    compiler of section 8.2, which may elide observable frames);
-///  - EnableCp0  off = no source-level simplification at all.
+///    compiler of section 8.2, which may elide observable frames).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +31,6 @@ struct CompilerOptions {
   bool EnableAttachments = true;
   bool EnablePrimRecognition = true;
   bool AttachmentConstraint = true;
-  bool EnableCp0 = true;
-  bool InlinePrimitives = true;
   /// Compile with-continuation-mark onto the old-Racket-style eager mark
   /// stack instead of attachments (the figure 5 comparator). Must match
   /// VMConfig::MarkStackMode.

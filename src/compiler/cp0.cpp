@@ -526,8 +526,6 @@ Node *Cp0::simplifyCall(CallNode *C, bool Tail) {
 
 Node *cmk::runCp0(AstContext &Ctx, Node *N, const CompilerOptions &Opts,
                   const WellKnown &WK) {
-  if (!Opts.EnableCp0)
-    return N;
   Cp0 Pass(Ctx, Opts, WK);
   return Pass.simplify(N, /*Tail=*/true);
 }

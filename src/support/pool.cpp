@@ -150,7 +150,7 @@ std::unique_ptr<SchemeEngine> EnginePool::buildWorkerEngine(
   if (Opts.TraceCapacity)
     E->startTrace(Opts.TraceCapacity);
   if (Opts.ProfileHz)
-    E->vm().profiler().start(E->vm(), Opts.ProfileHz, Opts.ProfileCapacity);
+    E->vm().profiler().start(E->vm(), Opts.ProfileHz);
   {
     std::lock_guard<std::mutex> L(EnginesMu);
     Engines[Idx] = E.get();
@@ -260,7 +260,7 @@ void EnginePool::workerMain(unsigned Idx) {
     ++Retries;
     Spawn(std::move(A), static_cast<uint64_t>(DelayNs));
   };
-  // Retires the finished jobs: their outcome counters, histogram samples,
+  // Retires the finished jobs: their outcome counts, histogram samples,
   // and the engine-stats delta that produced them publish in one shard
   // critical section (the consistency model in pool.h), then the futures
   // resolve.
@@ -268,7 +268,6 @@ void EnginePool::workerMain(unsigned Idx) {
     VMStats Now = Engine->stats();
     VMStats Delta = Now.delta(StatsMark);
     StatsMark = Now;
-    uint64_t Rejected = 0;
     {
       std::lock_guard<std::mutex> L(S.Mu);
       accumulateStats(S.Engines, Delta);
@@ -277,38 +276,12 @@ void EnginePool::workerMain(unsigned Idx) {
       S.ProfileDropped = S.ProfileDroppedPrior + Engine->profiler().dropped();
       S.RetriesAttempted += Retries;
       for (auto &[A, R] : Finished) {
-        if (R.Outcome == JobOutcome::Rejected) {
-          ++Rejected; // Counted pool-wide, like queued rejections.
-          continue;
-        }
+        ++S.ByOutcome[static_cast<int>(R.Outcome)];
+        if (R.Outcome == JobOutcome::Rejected)
+          continue; // Cut off by shutdown: no latency to report.
         S.QueueWaitUs.record(A.WaitNs / 1000);
         S.RunUs.record(A.RunNs / 1000);
-        switch (R.Outcome) {
-        case JobOutcome::Ok:
-          ++S.JobsOk;
-          break;
-        case JobOutcome::TrippedHeap:
-          ++S.TrippedHeap;
-          break;
-        case JobOutcome::TrippedStack:
-          ++S.TrippedStack;
-          break;
-        case JobOutcome::TrippedTimeout:
-          ++S.TrippedTimeout;
-          break;
-        case JobOutcome::TrippedInterrupt:
-          ++S.TrippedInterrupt;
-          break;
-        default:
-          ++S.JobsError;
-        }
-        if (A.J.Degraded)
-          ++S.JobsDegraded;
       }
-    }
-    if (Rejected) {
-      std::lock_guard<std::mutex> L(StatsMu);
-      JobsRejected += Rejected;
     }
     Retries = 0;
     for (auto &[A, R] : Finished) {
@@ -398,25 +371,32 @@ void EnginePool::workerMain(unsigned Idx) {
     if (Fatal) {
       // Beyond-reserve failure: every admitted job lived in the dying
       // engine's heap. The job that overran fails with it; co-resident
-      // victims re-run on the rebuilt engine when their policy allows.
+      // victims re-run on the rebuilt engine when their policy allows, and
+      // otherwise fail as errors of their own that name the culprit.
       // Supervise: rebuild the engine in place, or open the breaker.
-      JobOutcome O = jobOutcomeOfErrorKind(Engine->lastErrorKind());
-      uint64_t Culprit = Engine->currentFiberId();
+      ++ConsecutiveFatal;
+      bool OpenBreaker = Opts.BreakerThreshold &&
+                         ConsecutiveFatal >= Opts.BreakerThreshold;
+      uint64_t Culprit = Engine->currentJobId();
+      std::string Lost = "lost with its worker engine: co-resident job " +
+                         std::to_string(Culprit) + " failed fatally (" +
+                         Engine->lastError() + ")";
       std::vector<std::pair<ActiveJob, int64_t>> Victims;
       for (auto &KV : Active) {
-        int64_t DelayNs =
-            KV.first == Culprit ? -1 : RetryDelayNs(KV.second, true);
+        ActiveJob &A = KV.second;
+        if (A.J.Id == Culprit) {
+          Fail(std::move(A), jobOutcomeOfErrorKind(Engine->lastErrorKind()),
+               Engine->lastError(), Engine->lastErrorKind());
+          continue;
+        }
+        int64_t DelayNs = OpenBreaker ? -1 : RetryDelayNs(A, true);
         if (DelayNs >= 0)
-          Victims.emplace_back(std::move(KV.second), DelayNs);
+          Victims.emplace_back(std::move(A), DelayNs);
         else
-          Fail(std::move(KV.second), O, Engine->lastError(),
-               Engine->lastErrorKind());
+          Fail(std::move(A), JobOutcome::Error, Lost, ErrorKind::Runtime);
       }
       Active.clear();
-      ++ConsecutiveFatal;
-      if (Opts.BreakerThreshold && ConsecutiveFatal >= Opts.BreakerThreshold) {
-        for (auto &[A, DelayNs] : Victims)
-          Fail(std::move(A), O, Engine->lastError(), Engine->lastErrorKind());
+      if (OpenBreaker) {
         Publish();
         std::lock_guard<std::mutex> L(S.Mu);
         ++S.BreakerOpens;
@@ -518,7 +498,7 @@ void EnginePool::expireJob(Job &J, unsigned Idx, uint64_t WaitNs) {
     // The wait still happened (and is exactly why the job expired); the
     // run did not, so only the wait histogram records it.
     S.QueueWaitUs.record(WaitNs / 1000);
-    ++S.JobsExpired;
+    ++S.ByOutcome[static_cast<int>(JobOutcome::Expired)];
   }
   J.Promise.set_value(std::move(R));
 }
@@ -560,7 +540,7 @@ void EnginePool::rejectQueuedJobs() {
     rejectJob(J);
   if (!Leftover.empty()) {
     std::lock_guard<std::mutex> L(StatsMu);
-    JobsRejected += Leftover.size();
+    ByOutcome[static_cast<int>(JobOutcome::Rejected)] += Leftover.size();
   }
 }
 
@@ -593,19 +573,6 @@ uint64_t EnginePool::admissionP99Us() const {
   return W[Idx];
 }
 
-uint64_t EnginePool::pressureThresholdUs() const {
-  uint64_t Ms = Opts.PressureQueueWaitMs ? Opts.PressureQueueWaitMs
-                                         : Opts.QueueWaitBudgetMs / 2;
-  return Ms * 1000;
-}
-
-bool EnginePool::pressureActive() const {
-  if (!Opts.EnablePressureLimits || !Opts.QueueWaitBudgetMs)
-    return false;
-  uint64_t T = pressureThresholdUs();
-  return T != 0 && admissionP99Us() > T;
-}
-
 std::future<JobResult> EnginePool::submit(std::string Source) {
   return submit(std::move(Source), SubmitOptions());
 }
@@ -621,10 +588,8 @@ std::future<JobResult> EnginePool::submit(std::string Source,
                                           const SubmitOptions &SO) {
   Job J;
   J.Source = std::move(Source);
-  bool UsesDefaults = !SO.HasLimits;
   J.Limits = SO.HasLimits ? SO.Limits : Opts.DefaultJobLimits;
-  J.Retry = SO.HasRetry ? SO.Retry : Opts.DefaultRetry;
-  uint64_t DeadlineMs = SO.DeadlineMs ? SO.DeadlineMs : Opts.DefaultDeadlineMs;
+  J.Retry = SO.Retry;
   std::future<JobResult> F = J.Promise.get_future();
 
   if (Opts.QueueWaitBudgetMs) {
@@ -635,19 +600,10 @@ std::future<JobResult> EnginePool::submit(std::string Source,
       // that is doomed to expire.
       {
         std::lock_guard<std::mutex> L(StatsMu);
-        ++JobsShed;
+        ++ByOutcome[static_cast<int>(JobOutcome::Shed)];
       }
       shedJob(J, P99Us);
       return F;
-    }
-    if (UsesDefaults && Opts.EnablePressureLimits) {
-      uint64_t ThreshUs = pressureThresholdUs();
-      if (ThreshUs && P99Us > ThreshUs) {
-        // Graceful degradation: tighten the defaults before shedding has
-        // to start. Explicit per-job limits are never overridden.
-        J.Limits = Opts.PressureLimits;
-        J.Degraded = true;
-      }
     }
   }
 
@@ -662,7 +618,7 @@ std::future<JobResult> EnginePool::submit(std::string Source,
     } else {
       J.Id = NextJobId++;
       J.EnqueueNs = nowNanos();
-      J.DeadlineNs = DeadlineMs ? J.EnqueueNs + DeadlineMs * 1000000 : 0;
+      J.DeadlineNs = SO.DeadlineMs ? J.EnqueueNs + SO.DeadlineMs * 1000000 : 0;
       Queue.push_back(std::move(J));
       if (Queue.size() > HighWater)
         HighWater = Queue.size();
@@ -671,7 +627,7 @@ std::future<JobResult> EnginePool::submit(std::string Source,
   if (Rejected) {
     rejectJob(J);
     std::lock_guard<std::mutex> L(StatsMu);
-    ++JobsRejected;
+    ++ByOutcome[static_cast<int>(JobOutcome::Rejected)];
     return F;
   }
   {
@@ -680,42 +636,6 @@ std::future<JobResult> EnginePool::submit(std::string Source,
   }
   NotEmpty.notify_one();
   return F;
-}
-
-bool EnginePool::trySubmit(std::string Source, const EngineLimits &L,
-                           std::future<JobResult> &Out) {
-  if (Opts.QueueWaitBudgetMs) {
-    uint64_t P99Us = admissionP99Us();
-    if (P99Us > Opts.QueueWaitBudgetMs * 1000) {
-      std::lock_guard<std::mutex> Lk(StatsMu);
-      ++JobsShed;
-      return false;
-    }
-  }
-  Job J;
-  J.Source = std::move(Source);
-  J.Limits = L;
-  J.Retry = Opts.DefaultRetry;
-  {
-    std::lock_guard<std::mutex> Lk(QueueMu);
-    if (Stopping || Queue.size() >= Opts.QueueCapacity)
-      return false;
-    Out = J.Promise.get_future();
-    J.Id = NextJobId++;
-    J.EnqueueNs = nowNanos();
-    J.DeadlineNs = Opts.DefaultDeadlineMs
-                       ? J.EnqueueNs + Opts.DefaultDeadlineMs * 1000000
-                       : 0;
-    Queue.push_back(std::move(J));
-    if (Queue.size() > HighWater)
-      HighWater = Queue.size();
-  }
-  {
-    std::lock_guard<std::mutex> L(StatsMu);
-    ++JobsSubmitted;
-  }
-  NotEmpty.notify_one();
-  return true;
 }
 
 void EnginePool::shutdown(bool Drain) {
@@ -756,15 +676,15 @@ PoolStats EnginePool::stats() const { return telemetry().Stats; }
 
 PoolTelemetry EnginePool::telemetry() const {
   PoolTelemetry T;
+  PoolStats &PS = T.Stats;
   {
     std::lock_guard<std::mutex> L(StatsMu);
-    T.Stats.JobsSubmitted = JobsSubmitted;
-    T.Stats.JobsRejected = JobsRejected;
-    T.Stats.JobsShed = JobsShed;
+    PS.JobsSubmitted = JobsSubmitted;
+    std::copy(std::begin(ByOutcome), std::end(ByOutcome), PS.ByOutcome);
   }
   {
     std::lock_guard<std::mutex> L(QueueMu);
-    T.Stats.QueueHighWater = HighWater;
+    PS.QueueHighWater = HighWater;
     T.QueueDepth = Queue.size();
     T.LiveWorkers = LiveWorkers;
   }
@@ -774,38 +694,22 @@ PoolTelemetry EnginePool::telemetry() const {
     std::lock_guard<std::mutex> L(S.Mu);
     T.QueueWaitUs.merge(S.QueueWaitUs);
     T.RunUs.merge(S.RunUs);
-    T.JobsOk += S.JobsOk;
-    T.JobsError += S.JobsError;
-    T.TrippedHeap += S.TrippedHeap;
-    T.TrippedStack += S.TrippedStack;
-    T.TrippedTimeout += S.TrippedTimeout;
-    T.TrippedInterrupt += S.TrippedInterrupt;
-    T.JobsExpired += S.JobsExpired;
-    T.WorkerRestarts += S.WorkerRestarts;
-    T.BreakerOpens += S.BreakerOpens;
-    T.RetriesAttempted += S.RetriesAttempted;
-    T.JobsDegraded += S.JobsDegraded;
+    for (int I = 0; I < NumJobOutcomes; ++I)
+      PS.ByOutcome[I] += S.ByOutcome[I];
+    PS.WorkerRestarts += S.WorkerRestarts;
+    PS.BreakerOpens += S.BreakerOpens;
+    PS.RetriesAttempted += S.RetriesAttempted;
     T.TraceDropped += S.TraceDropped;
     T.ProfileSamples += S.ProfileSamples;
     T.ProfileDropped += S.ProfileDropped;
-    accumulateStats(T.Stats.Engines, S.Engines);
+    accumulateStats(PS.Engines, S.Engines);
   }
-  T.Stats.JobsCompleted = T.JobsOk;
-  T.Stats.JobsFailed = T.JobsError;
-  T.Stats.JobsTripped =
-      T.TrippedHeap + T.TrippedStack + T.TrippedTimeout + T.TrippedInterrupt;
-  T.Stats.JobsExpired = T.JobsExpired;
-  T.Stats.WorkerRestarts = T.WorkerRestarts;
-  T.Stats.BreakerOpens = T.BreakerOpens;
-  T.Stats.RetriesAttempted = T.RetriesAttempted;
-  T.Stats.JobsDegraded = T.JobsDegraded;
-  T.JobsShed = T.Stats.JobsShed;
-  T.PressureActive = pressureActive();
   return T;
 }
 
 MetricsRegistry EnginePool::buildMetrics() const {
   PoolTelemetry T = telemetry();
+  const PoolStats &S = T.Stats;
   MetricsRegistry R;
 
   R.gauge("cmarks_pool_workers", "Worker threads (= engines) in the pool", {},
@@ -818,53 +722,39 @@ MetricsRegistry EnginePool::buildMetrics() const {
   R.gauge("cmarks_pool_queue_capacity", "Bounded job-queue capacity", {},
           static_cast<double>(Opts.QueueCapacity));
   R.gauge("cmarks_pool_queue_high_water", "Maximum queue depth observed", {},
-          static_cast<double>(T.Stats.QueueHighWater));
+          static_cast<double>(S.QueueHighWater));
   R.gauge("cmarks_pool_inflight_jobs", "Jobs evaluating right now", {},
           static_cast<double>(T.InFlight));
-  R.gauge("cmarks_pool_pressure_active",
-          "1 while graceful degradation is tightening default job limits",
-          {}, T.PressureActive ? 1.0 : 0.0);
 
+  auto Count = [&](JobOutcome O) { return S.ByOutcome[static_cast<int>(O)]; };
   R.counter("cmarks_pool_jobs_submitted_total",
-            "Jobs accepted into the queue", {}, T.Stats.JobsSubmitted);
+            "Jobs accepted into the queue", {}, S.JobsSubmitted);
   R.counter("cmarks_pool_jobs_rejected_total",
-            "Jobs rejected (shutdown or trySubmit backpressure)", {},
-            T.Stats.JobsRejected);
+            "Jobs rejected because the pool stopped", {},
+            Count(JobOutcome::Rejected));
 
-  const char *JobsHelp = "Retired jobs by outcome";
-  R.counter("cmarks_pool_jobs_total", JobsHelp, {{"outcome", "ok"}}, T.JobsOk);
-  R.counter("cmarks_pool_jobs_total", JobsHelp, {{"outcome", "error"}},
-            T.JobsError);
-  R.counter("cmarks_pool_jobs_total", JobsHelp, {{"outcome", "tripped-heap"}},
-            T.TrippedHeap);
-  R.counter("cmarks_pool_jobs_total", JobsHelp, {{"outcome", "tripped-stack"}},
-            T.TrippedStack);
-  R.counter("cmarks_pool_jobs_total", JobsHelp,
-            {{"outcome", "tripped-timeout"}}, T.TrippedTimeout);
-  R.counter("cmarks_pool_jobs_total", JobsHelp,
-            {{"outcome", "tripped-interrupt"}}, T.TrippedInterrupt);
-  R.counter("cmarks_pool_jobs_total", JobsHelp, {{"outcome", "expired"}},
-            T.JobsExpired);
-  R.counter("cmarks_pool_jobs_total", JobsHelp, {{"outcome", "shed"}},
-            T.JobsShed);
+  // Rejected jobs have their own family above.
+  for (int I = 0; I < NumJobOutcomes; ++I)
+    if (static_cast<JobOutcome>(I) != JobOutcome::Rejected)
+      R.counter("cmarks_pool_jobs_total", "Retired jobs by outcome",
+                {{"outcome", jobOutcomeName(static_cast<JobOutcome>(I))}},
+                S.ByOutcome[I]);
 
   R.counter("cmarks_pool_jobs_expired_total",
             "Jobs whose deadline passed while queued (never ran)", {},
-            T.JobsExpired);
+            Count(JobOutcome::Expired));
   R.counter("cmarks_pool_jobs_shed_total",
-            "Jobs refused by admission control at submit", {}, T.JobsShed);
+            "Jobs refused by admission control at submit", {},
+            Count(JobOutcome::Shed));
   R.counter("cmarks_pool_worker_restarts_total",
             "Worker engines rebuilt after fatal (beyond-reserve) failures",
-            {}, T.WorkerRestarts);
+            {}, S.WorkerRestarts);
   R.counter("cmarks_pool_breaker_opens_total",
             "Workers retired by their restart circuit breaker", {},
-            T.BreakerOpens);
+            S.BreakerOpens);
   R.counter("cmarks_pool_retries_total",
             "Re-runs of transiently-failed jobs (RetryPolicy)", {},
-            T.RetriesAttempted);
-  R.counter("cmarks_pool_jobs_degraded_total",
-            "Default-limit jobs tightened by graceful degradation", {},
-            T.JobsDegraded);
+            S.RetriesAttempted);
 
   R.histogram("cmarks_pool_queue_wait_seconds",
               "Per-job submit-to-dequeue wait", {}, T.QueueWaitUs, 1e-6);
@@ -885,7 +775,7 @@ MetricsRegistry EnginePool::buildMetrics() const {
   for (int I = 0; I < N; ++I)
     R.counter("cmarks_engine_events_total",
               "Runtime event counters summed across worker engines",
-              {{"event", Table[I].Name}}, T.Stats.Engines.*(Table[I].Field));
+              {{"event", Table[I].Name}}, S.Engines.*(Table[I].Field));
   return R;
 }
 

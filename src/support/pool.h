@@ -44,8 +44,9 @@
 ///    attempt whose fibers saw an injected fault (charged to the job's
 ///    account, so a co-resident job's fault never counts) — are re-run up
 ///    to MaxAttempts with capped exponential backoff, as are fiber-mode
-///    jobs lost with an engine a co-resident job poisoned. Jitter is
-///    deterministic per job id (retryBackoffMs is a pure function), so
+///    jobs lost with an engine a co-resident job poisoned (one with no
+///    attempt left fails as an Error naming the culprit's job id). Jitter
+///    is deterministic per job id (retryBackoffMs is a pure function), so
 ///    chaos runs replay exactly. The job whose failure was fatal, and
 ///    ordinary errors, never retry; retries stop at the deadline and
 ///    during a non-drain shutdown.
@@ -53,11 +54,7 @@
 ///    a sliding window of recent queue waits; while the window's p99
 ///    exceeds the budget, new submissions are shed at the door (Outcome
 ///    Shed, future resolves immediately — CoDel-style: admission is
-///    controlled by experienced queueing delay, not queue length). The
-///    graceful-degradation knob (PressureLimits) tightens the *default*
-///    per-job budgets while the window p99 exceeds the pressure
-///    threshold, so accepted traffic gets cheaper before shedding has
-///    to start.
+///    controlled by experienced queueing delay, not queue length).
 ///
 /// Serving telemetry (DESIGN.md §13): every job records its queue wait,
 /// run time, and outcome into log-bucketed histograms; metricsText()/
@@ -69,7 +66,7 @@
 /// pool-wide flamegraph.
 ///
 /// Consistency model of stats()/telemetry(): a job retires by publishing
-/// its whole delta — outcome counter, engine-stats delta, and histogram
+/// its whole delta — outcome count, engine-stats delta, and histogram
 /// samples — in one critical section on its worker's shard mutex, and
 /// readers visit each shard under the same mutex. A read during load can
 /// therefore never observe a torn, half-retired job (e.g. a completion
@@ -85,10 +82,10 @@
 ///   cmk::PoolOptions Opts;
 ///   Opts.Workers = 4;
 ///   Opts.DefaultJobLimits.TimeoutMs = 100;
-///   Opts.DefaultDeadlineMs = 500;       // queued past this -> Expired
 ///   Opts.QueueWaitBudgetMs = 50;        // overload -> Shed at the door
 ///   cmk::EnginePool Pool(Opts);
-///   auto F = Pool.submit("(+ 1 2)");
+///   auto F = Pool.submit("(+ 1 2)",     // queued past 500ms -> Expired
+///                        cmk::SubmitOptions().deadlineMs(500));
 ///   cmk::JobResult R = F.get();   // R.Outcome == JobOutcome::Ok, "3"
 ///   std::string Prom = Pool.metricsText();   // scrape-style export
 /// \endcode
@@ -120,8 +117,8 @@ namespace cmk {
 
 /// Typed disposition of one pool job. Every future the pool hands out
 /// resolves with exactly one of these; the pool's telemetry counts every
-/// job in exactly one matching counter, so hosts dispatch on the enum
-/// instead of string-matching error text.
+/// job in exactly one slot of PoolStats::ByOutcome, so hosts dispatch on
+/// the enum instead of string-matching error text.
 enum class JobOutcome : uint8_t {
   Ok,               ///< Ran and returned a value.
   Error,            ///< Ran and raised an ordinary Scheme/VM error.
@@ -133,6 +130,9 @@ enum class JobOutcome : uint8_t {
   Shed,             ///< Admission control refused it at submit; never queued.
   Rejected,         ///< Pool shut down before it could run.
 };
+
+/// Number of JobOutcome values: the size of a per-outcome table.
+constexpr int NumJobOutcomes = static_cast<int>(JobOutcome::Rejected) + 1;
 
 /// Stable kebab-case name ("ok", "tripped-heap", "shed", ...), used for
 /// metric labels and log lines.
@@ -159,9 +159,10 @@ struct JobResult {
   std::string Output;
   /// Error message when !Ok ("engine pool is shut down" for rejections).
   std::string Error;
-  /// Classification when !Ok: Runtime for ordinary errors, or the limit
-  /// trip kind (heap/stack/timeout/interrupt) for evicted jobs. None for
-  /// jobs that never ran (Expired/Shed).
+  /// Classification when !Ok: Runtime for ordinary errors (and for jobs
+  /// lost with an engine a co-resident job poisoned), or the limit trip
+  /// kind (heap/stack/timeout/interrupt) for evicted jobs. None for jobs
+  /// that never ran (Expired/Shed).
   ErrorKind Kind = ErrorKind::None;
   /// Evaluation attempts actually made (0 for jobs that never ran,
   /// >1 when a RetryPolicy re-ran a transient failure).
@@ -197,16 +198,15 @@ struct RetryPolicy {
 uint64_t retryBackoffMs(const RetryPolicy &P, uint64_t JobId,
                         uint32_t Attempt);
 
-/// Per-submit knobs beyond the source text. Unset fields inherit the
-/// pool defaults (PoolOptions::DefaultJobLimits / DefaultDeadlineMs /
-/// DefaultRetry).
+/// Per-submit knobs beyond the source text. Unset limits inherit
+/// PoolOptions::DefaultJobLimits; the default retry policy never retries
+/// (retrying is an idempotency claim only the submitter can make).
 struct SubmitOptions {
   bool HasLimits = false; ///< Set via limits(); false = pool default.
   EngineLimits Limits;
-  bool HasRetry = false; ///< Set via retry(); false = pool default.
   RetryPolicy Retry;
   /// Deadline relative to submit, in ms (fixed to an absolute instant at
-  /// submit). 0 = pool default (which may also be "none").
+  /// submit). 0 = none.
   uint64_t DeadlineMs = 0;
 
   SubmitOptions &limits(const EngineLimits &L) {
@@ -216,7 +216,6 @@ struct SubmitOptions {
   }
   SubmitOptions &retry(const RetryPolicy &R) {
     Retry = R;
-    HasRetry = true;
     return *this;
   }
   SubmitOptions &deadlineMs(uint64_t Ms) {
@@ -230,7 +229,7 @@ struct PoolOptions {
   /// Worker threads (= engines). 0 picks std::thread::hardware_concurrency.
   unsigned Workers = 0;
   /// Bounded job-queue capacity; submit() blocks while the queue is full
-  /// (backpressure), trySubmit() fails fast instead.
+  /// (backpressure).
   size_t QueueCapacity = 256;
   /// Engine template: every worker constructs its engine from this
   /// (variant, compiler options, prelude).
@@ -239,13 +238,6 @@ struct PoolOptions {
   /// zero default means ungoverned; serving deployments should at least
   /// arm TimeoutMs so a stuck request cannot retire a worker.
   EngineLimits DefaultJobLimits;
-  /// Deadline applied to jobs submitted without an explicit one, in ms
-  /// relative to submit. 0 = no default deadline.
-  uint64_t DefaultDeadlineMs = 0;
-  /// Retry policy for jobs submitted without an explicit one. The
-  /// default (MaxAttempts 1) disables retry: retrying is an idempotency
-  /// claim only the submitter can make.
-  RetryPolicy DefaultRetry;
   /// Worker supervision: on the Nth *consecutive* fatal (beyond-reserve)
   /// job failure the worker's circuit breaker opens and it retires
   /// instead of rebuilding again (so a threshold of 3 absorbs two
@@ -260,25 +252,16 @@ struct PoolOptions {
   /// Clamped to [8, 1024]. Note: below 100 samples the p99 degenerates
   /// to the window max — deliberately conservative under overload.
   uint32_t AdmissionWindow = 64;
-  /// Graceful degradation: when armed (EnablePressureLimits), jobs that
-  /// would use DefaultJobLimits get these tighter budgets instead while
-  /// the admission window p99 exceeds PressureQueueWaitMs. Explicit
-  /// per-job limits are never overridden.
-  bool EnablePressureLimits = false;
-  EngineLimits PressureLimits;
-  /// Pressure threshold (ms). 0 derives QueueWaitBudgetMs / 2.
-  uint64_t PressureQueueWaitMs = 0;
   /// When nonzero, every worker engine records its trace ring (this many
   /// events) and jobs are bracketed by named "job-<id>" spans;
   /// traceJson() merges the per-worker rings into one Perfetto timeline
   /// (complete after shutdown()).
   uint32_t TraceCapacity = 0;
   /// When nonzero, every worker runs the safe-point sampling profiler at
-  /// this rate (Hz); profileCollapsed() aggregates a pool-wide collapsed
-  /// flamegraph (complete after shutdown()).
+  /// this rate (Hz, SamplingProfiler::DefaultCapacity samples per worker
+  /// ring); profileCollapsed() aggregates a pool-wide collapsed flamegraph
+  /// (complete after shutdown()).
   uint32_t ProfileHz = 0;
-  /// Per-worker profile sample ring (0 = SamplingProfiler::DefaultCapacity).
-  uint32_t ProfileCapacity = 0;
   /// Cooperative fiber multiplexing (DESIGN.md §16). In both modes every
   /// job runs as a fiber under its own limits: TimeoutMs governs *on-CPU*
   /// time (parked time is excluded), HeapBytes and MaxLiveSegments the
@@ -297,17 +280,12 @@ struct PoolOptions {
 /// Pool-wide statistics snapshot (stats()).
 struct PoolStats {
   uint64_t JobsSubmitted = 0; ///< Accepted into the queue.
-  uint64_t JobsCompleted = 0; ///< Ran and returned a value.
-  uint64_t JobsFailed = 0;    ///< Ran and raised an ordinary error.
-  uint64_t JobsTripped = 0;   ///< Ran and hit a resource limit (subset of
-                              ///< JobsFailed's complement: counted apart).
-  uint64_t JobsExpired = 0;   ///< Deadline passed in the queue; never ran.
-  uint64_t JobsShed = 0;      ///< Refused by admission control at submit.
-  uint64_t JobsRejected = 0;  ///< Never ran (shutdown or trySubmit race).
+  /// Resolved jobs by outcome, indexed by JobOutcome: each resolved
+  /// future counts in exactly one slot.
+  uint64_t ByOutcome[NumJobOutcomes] = {};
   uint64_t WorkerRestarts = 0; ///< Engines rebuilt after fatal failures.
   uint64_t BreakerOpens = 0;  ///< Workers retired by their circuit breaker.
   uint64_t RetriesAttempted = 0; ///< Re-runs of transient failures.
-  uint64_t JobsDegraded = 0;  ///< Default-limit jobs tightened under pressure.
   uint64_t QueueHighWater = 0; ///< Max queue depth observed.
   /// Aggregated runtime event counters (support/stats.h) across every
   /// worker engine, accumulated as jobs retire. In-flight jobs appear
@@ -316,26 +294,14 @@ struct PoolStats {
 };
 
 /// Full telemetry snapshot (telemetry()): PoolStats plus latency
-/// histograms, outcome-by-trip counters, queue gauges, and trace/profile
-/// meta-telemetry. Same consistency model as stats().
+/// histograms, queue gauges, and trace/profile meta-telemetry. Same
+/// consistency model as stats().
 struct PoolTelemetry {
   PoolStats Stats;
   LogHistogram QueueWaitUs; ///< Per-dequeued-job submit -> dequeue wait
                             ///< (µs); includes jobs that expired there.
   LogHistogram RunUs;       ///< Per-run-job evaluation time (µs), summed
                             ///< across retry attempts (backoff excluded).
-  uint64_t JobsOk = 0;
-  uint64_t JobsError = 0; ///< Ordinary runtime errors.
-  uint64_t TrippedHeap = 0;
-  uint64_t TrippedStack = 0;
-  uint64_t TrippedTimeout = 0;
-  uint64_t TrippedInterrupt = 0;
-  uint64_t JobsExpired = 0;
-  uint64_t JobsShed = 0;
-  uint64_t WorkerRestarts = 0;
-  uint64_t BreakerOpens = 0;
-  uint64_t RetriesAttempted = 0;
-  uint64_t JobsDegraded = 0;
   uint64_t TraceDropped = 0; ///< Trace-ring events lost to wraparound,
                              ///< summed across workers (detects truncated
                              ///< Perfetto exports).
@@ -344,13 +310,12 @@ struct PoolTelemetry {
   uint64_t QueueDepth = 0;     ///< Jobs waiting right now.
   uint64_t InFlight = 0;       ///< Jobs evaluating right now.
   uint64_t LiveWorkers = 0;    ///< Workers still serving (breakers shut).
-  bool PressureActive = false; ///< Degradation threshold currently exceeded.
 };
 
 /// A fixed-size pool of worker threads with one private SchemeEngine
-/// each, fed by a bounded MPMC queue. Thread-safe: submit/trySubmit/
-/// stats/telemetry/metrics*/interruptAll may be called concurrently from
-/// any thread.
+/// each, fed by a bounded MPMC queue. Thread-safe: submit/stats/
+/// telemetry/metrics*/interruptAll may be called concurrently from any
+/// thread.
 class EnginePool {
 public:
   explicit EnginePool(const PoolOptions &Opts = PoolOptions());
@@ -358,10 +323,10 @@ public:
   EnginePool(const EnginePool &) = delete;
   EnginePool &operator=(const EnginePool &) = delete;
 
-  /// Enqueues \p Source under the default job limits/deadline/retry.
-  /// Blocks while the queue is full; returns an already-rejected future
-  /// after shutdown, and an already-shed future under admission
-  /// pressure.
+  /// Enqueues \p Source under the default job limits, with no deadline
+  /// or retry. Blocks while the queue is full; returns an
+  /// already-rejected future after shutdown, and an already-shed future
+  /// under admission pressure.
   std::future<JobResult> submit(std::string Source);
 
   /// Enqueues \p Source with job-specific budgets (overrides, not merges,
@@ -370,12 +335,6 @@ public:
 
   /// Enqueues \p Source with per-job limits, deadline, and retry policy.
   std::future<JobResult> submit(std::string Source, const SubmitOptions &SO);
-
-  /// Non-blocking submit: false (and no future) when the queue is full,
-  /// the pool is shutting down, or admission control is shedding (the
-  /// shed is still counted in JobsShed).
-  bool trySubmit(std::string Source, const EngineLimits &L,
-                 std::future<JobResult> &Out);
 
   /// Stops the pool and joins the workers. Drain=true finishes queued
   /// jobs first; Drain=false rejects them (their futures resolve with
@@ -396,16 +355,12 @@ public:
     return static_cast<unsigned>(Threads.size());
   }
 
-  /// True while the graceful-degradation threshold is exceeded (always
-  /// false when EnablePressureLimits is off).
-  bool pressureActive() const;
-
   /// Thread-safe snapshot of the pool-wide counters and the aggregated
   /// per-engine runtime stats (see the consistency model above).
   PoolStats stats() const;
 
   /// Thread-safe full telemetry snapshot: stats() plus merged latency
-  /// histograms, outcome counters, and queue gauges.
+  /// histograms and queue gauges.
   PoolTelemetry telemetry() const;
 
   /// Prometheus text exposition of the current telemetry snapshot.
@@ -436,7 +391,6 @@ private:
     std::promise<JobResult> Promise;
     uint64_t EnqueueNs = 0;
     uint64_t DeadlineNs = 0; ///< Absolute (nowNanos clock); 0 = none.
-    bool Degraded = false;   ///< Defaults tightened by pressure.
   };
 
   /// Per-worker telemetry shard. The worker retires every job under Mu
@@ -445,17 +399,10 @@ private:
     mutable std::mutex Mu;
     LogHistogram QueueWaitUs;
     LogHistogram RunUs;
-    uint64_t JobsOk = 0;
-    uint64_t JobsError = 0;
-    uint64_t TrippedHeap = 0;
-    uint64_t TrippedStack = 0;
-    uint64_t TrippedTimeout = 0;
-    uint64_t TrippedInterrupt = 0;
-    uint64_t JobsExpired = 0;
+    uint64_t ByOutcome[NumJobOutcomes] = {};
     uint64_t WorkerRestarts = 0;
     uint64_t BreakerOpens = 0;
     uint64_t RetriesAttempted = 0;
-    uint64_t JobsDegraded = 0;
     VMStats Engines;
     /// Cumulative trace/profile meta-telemetry. The *Prior fields hold
     /// the totals of retired engine incarnations; the headline fields
@@ -490,7 +437,6 @@ private:
   /// Sliding-window queue-wait p99 in µs (0 until the window has at
   /// least MinAdmissionSamples entries, or with admission control off).
   uint64_t admissionP99Us() const;
-  uint64_t pressureThresholdUs() const;
   MetricsRegistry buildMetrics() const;
 
   static constexpr size_t MinAdmissionSamples = 8;
@@ -519,11 +465,12 @@ private:
   mutable std::mutex EnginesMu;
   std::vector<SchemeEngine *> Engines;
 
-  // Submit-side counters (the retire side lives in the shards).
+  // Counters kept off the workers: submissions, and the outcomes of jobs
+  // resolved at the door or by shutdown (shed, rejected). The retire side
+  // lives in the shards.
   mutable std::mutex StatsMu;
-  uint64_t JobsSubmitted = 0; ///< Guarded by StatsMu.
-  uint64_t JobsRejected = 0;  ///< Guarded by StatsMu.
-  uint64_t JobsShed = 0;      ///< Guarded by StatsMu.
+  uint64_t JobsSubmitted = 0;              ///< Guarded by StatsMu.
+  uint64_t ByOutcome[NumJobOutcomes] = {}; ///< Guarded by StatsMu.
 
   // Admission-control sliding window of recent queue waits (µs).
   mutable std::mutex AdmissionMu;

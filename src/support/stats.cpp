@@ -68,8 +68,7 @@ const StatsCounterDesc *statsCounters(int &Count) {
 void printStatsTable(const VMStats &S, std::FILE *Out) {
   int N = 0;
   const StatsCounterDesc *Table = statsCounters(N);
-  std::fprintf(Out, "runtime event counters%s:\n",
-               statsDetailEnabled() ? "" : " (detail tier compiled out)");
+  std::fprintf(Out, "runtime event counters:\n");
   for (int I = 0; I < N; ++I)
     std::fprintf(Out, "  %-26s %12llu\n", Table[I].Name,
                  static_cast<unsigned long long>(S.*(Table[I].Field)));

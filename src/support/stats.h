@@ -12,21 +12,17 @@
 ///
 /// Two tiers:
 ///
-///  - The *cheap tier* is always compiled in. Its counters sit on paths
-///    that already allocate or copy (reification, underflow, segment
-///    allocation), so a single increment is noise.
+///  - The *cheap tier* sits on paths that already allocate or copy
+///    (reification, underflow, segment allocation), so a single
+///    increment is noise.
 ///  - The *detail tier* sits on genuinely hot paths (mark lookup, mark
-///    frame update). It is compiled in when `CMARKS_STATS` is nonzero
-///    (the default; CMake option `CMARKS_STATS`) and compiles to nothing
-///    when the macro is defined to 0, so a release build can opt out of
-///    even the single branch these increments cost.
+///    frame update) and reaches its counters through a possibly-null
+///    `VMStats` pointer, so each increment costs one branch.
 ///
-/// All counters live in one `VMStats` struct whose layout does not depend
-/// on the toggle — disabling the detail tier stops the increments, it does
-/// not change the ABI. The counter table (`statsCounters`) gives every
-/// field a stable kebab-case name shared by the `(runtime-stats)`
-/// primitive, the REPL's `--stats` report, and the benchmark harness's
-/// `BENCH_*.json` output.
+/// Both tiers are always compiled in. All counters live in one `VMStats`
+/// struct. The counter table (`statsCounters`) gives every field a stable
+/// kebab-case name shared by the `(runtime-stats)` primitive, the REPL's
+/// `--stats` report, and the benchmark harness's `BENCH_*.json` output.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +31,6 @@
 
 #include <cstdint>
 #include <cstdio>
-
-#ifndef CMARKS_STATS
-#define CMARKS_STATS 1
-#endif
 
 namespace cmk {
 
@@ -145,18 +137,17 @@ struct StatsCounterDesc {
 /// number of entries.
 const StatsCounterDesc *statsCounters(int &Count);
 
-/// True when the detail tier was compiled in (CMARKS_STATS != 0).
-constexpr bool statsDetailEnabled() { return CMARKS_STATS != 0; }
+/// True: the detail tier is always compiled in. Benchmark provenance
+/// records it.
+constexpr bool statsDetailEnabled() { return true; }
 
-/// Prints a human-readable two-column counter table; zero detail-tier rows
-/// are kept so the output shape is stable across builds.
+/// Prints a human-readable two-column counter table, zero rows included.
 void printStatsTable(const VMStats &S, std::FILE *Out);
 
 } // namespace cmk
 
 // Detail-tier increment through a possibly-null VMStats pointer: exactly
-// one branch when enabled, nothing at all when compiled out.
-#if CMARKS_STATS
+// one branch.
 #define CMK_STAT_DETAIL(SPtr, FIELD)                                           \
   do {                                                                         \
     if (::cmk::VMStats *CmkS_ = (SPtr))                                        \
@@ -167,9 +158,5 @@ void printStatsTable(const VMStats &S, std::FILE *Out);
     if (::cmk::VMStats *CmkS_ = (SPtr))                                        \
       CmkS_->FIELD += (N);                                                     \
   } while (false)
-#else
-#define CMK_STAT_DETAIL(SPtr, FIELD) ((void)0)
-#define CMK_STAT_DETAIL_ADD(SPtr, FIELD, N) ((void)0)
-#endif
 
 #endif // CMARKS_SUPPORT_STATS_H

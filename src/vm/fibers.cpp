@@ -32,6 +32,13 @@ struct TimerCmp {
 
 } // namespace
 
+uint64_t FiberScheduler::currentJobId() const {
+  if (!Current.isFiber())
+    return 0;
+  ResourceAccount *A = asFiber(Current)->Account;
+  return A ? A->JobId : 0;
+}
+
 uint64_t FiberScheduler::nextTimerDelayNs() const {
   // The top entry may be stale (its fiber was unparked); report it anyway:
   // the host wakes, the pump drops it, and the wait re-bounds. Cheaper
@@ -262,10 +269,7 @@ void FiberScheduler::idleWait(VM &M) {
     uint64_t WaitNs = Timers.front().Due - Now;
     if (WaitNs > 10'000'000)
       WaitNs = 10'000'000; // <=10ms chunks keep interrupt latency low.
-    if (WaitHook)
-      WaitHook(WaitNs);
-    else
-      std::this_thread::sleep_for(nanoseconds(WaitNs));
+    std::this_thread::sleep_for(nanoseconds(WaitNs));
   }
 }
 

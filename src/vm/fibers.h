@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -69,11 +68,6 @@ public:
   /// (VM::run() returns a status symbol) instead of blocking in-run.
   bool CoopPool = false;
 
-  /// Pluggable wait hook (future I/O integration): when set, standalone
-  /// idle waits call this instead of sleeping. The hook may return early;
-  /// the scheduler re-checks timers and signals after every call.
-  std::function<void(uint64_t MaxWaitNs)> WaitHook;
-
   // --- Queries (host/pool side; same thread as the VM) ----------------------
 
   /// True when fiber scheduling should govern blocking primitives: either
@@ -82,10 +76,9 @@ public:
     return CoopPool || Live > 0 || !RunQueue.empty() || !Timers.empty();
   }
   bool hasRunnable() const { return !RunQueue.empty(); }
-  /// Id of the fiber switched in (0 between fibers).
-  uint64_t currentId() const {
-    return Current.isFiber() ? asFiber(Current)->Id : 0;
-  }
+  /// Pool job id of the fiber switched in — a job's sub-fibers share its
+  /// id — or 0 between fibers and outside the pool.
+  uint64_t currentJobId() const;
   /// Pool-mode safe-point gate: an interrupt may only be consumed while a
   /// fiber is switched in. Between slices the engine runs scheduler glue
   /// (the slice closure, dispatch natives) with no current fiber — a trip

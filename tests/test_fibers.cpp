@@ -638,6 +638,23 @@ TEST(FiberPoolTest, JobSlicesAreTracedAsJobSpans) {
         << "missing span for job " << I;
 }
 
+/// Submits a job that burns through its heap reserve, poisoning the
+/// engine it runs on, and waits for its result.
+JobResult runReserveEscalator(EnginePool &Pool) {
+  EngineLimits L;
+  L.HeapBytes = 4u << 20;
+  L.HeapHeadroomBytes = 256u << 10;
+  return Pool
+      .submit("(define sink '())"
+              "(with-handlers ([exn:heap-limit? (lambda (e)"
+              "  (let loop () (set! sink (cons (make-vector 4096 0) sink))"
+              "    (loop)))])"
+              "  (let loop () (set! sink (cons (make-vector 4096 0) sink))"
+              "    (loop)))",
+              L)
+      .get();
+}
+
 TEST(FiberPoolTest, VictimsOfACoResidentFatalFailureRetry) {
   // A reserve escalator poisons the shared engine; the parked job beside
   // it is lost with the engine, and — its loss being transient to it —
@@ -650,25 +667,44 @@ TEST(FiberPoolTest, VictimsOfACoResidentFatalFailureRetry) {
   RP.MaxAttempts = 2;
   auto Victim = Pool.submit("(begin (sleep-ms 50) 'survived)",
                             SubmitOptions().retry(RP));
-  EngineLimits L;
-  L.HeapBytes = 4u << 20;
-  L.HeapHeadroomBytes = 256u << 10;
-  JobResult Culprit =
-      Pool.submit("(define sink '())"
-                  "(with-handlers ([exn:heap-limit? (lambda (e)"
-                  "  (let loop () (set! sink (cons (make-vector 4096 0) sink))"
-                  "    (loop)))])"
-                  "  (let loop () (set! sink (cons (make-vector 4096 0) sink))"
-                  "    (loop)))",
-                  L)
-          .get();
+  JobResult Culprit = runReserveEscalator(Pool);
   EXPECT_EQ(Culprit.Outcome, JobOutcome::TrippedHeap) << Culprit.Error;
   EXPECT_EQ(Culprit.Attempts, 1u);
   JobResult R = Victim.get();
   EXPECT_EQ(R.Outcome, JobOutcome::Ok) << R.Error;
   EXPECT_EQ(R.Output, "survived");
   EXPECT_EQ(R.Attempts, 2u);
-  EXPECT_EQ(Pool.telemetry().WorkerRestarts, 1u);
+  EXPECT_EQ(Pool.stats().WorkerRestarts, 1u);
+}
+
+TEST(FiberPoolTest, VictimsOfACoResidentFatalFailureWithoutRetryAreErrors) {
+  // With no attempt left, a job lost with a poisoned engine fails with an
+  // outcome of its own — an Error naming the culprit — not the culprit's
+  // heap trip: one escalator shows up as one tripped-heap job.
+  PoolOptions O;
+  O.Workers = 1;
+  O.EnableFibers = true;
+  EnginePool Pool(O);
+  RetryPolicy RP;
+  RP.MaxAttempts = 1;
+  // Parked far longer than the escalator runs, so it is always resident.
+  auto Victim = Pool.submit("(begin (sleep-ms 5000) 'late)",
+                            SubmitOptions().retry(RP));
+  JobResult Culprit = runReserveEscalator(Pool);
+  EXPECT_EQ(Culprit.Outcome, JobOutcome::TrippedHeap) << Culprit.Error;
+  JobResult R = Victim.get();
+  EXPECT_EQ(R.Outcome, JobOutcome::Error) << R.Error;
+  EXPECT_EQ(R.Kind, ErrorKind::Runtime);
+  EXPECT_EQ(R.Attempts, 1u);
+  EXPECT_NE(R.Error.find("co-resident job " + std::to_string(Culprit.Id) +
+                         " failed fatally"),
+            std::string::npos)
+      << R.Error;
+  Pool.shutdown(); // The restart is counted after the futures resolve.
+  PoolStats S = Pool.stats();
+  EXPECT_EQ(S.ByOutcome[static_cast<int>(JobOutcome::TrippedHeap)], 1u);
+  EXPECT_EQ(S.ByOutcome[static_cast<int>(JobOutcome::Error)], 1u);
+  EXPECT_EQ(S.WorkerRestarts, 1u);
 }
 
 TEST(FiberPoolTest, CleanShutdownWithParkedJobs) {

@@ -21,6 +21,11 @@ using namespace cmk;
 
 namespace {
 
+/// Jobs that resolved with outcome \p O.
+uint64_t jobs(const PoolStats &S, JobOutcome O) {
+  return S.ByOutcome[static_cast<int>(O)];
+}
+
 /// A small job vocabulary: self-contained expressions (no global state)
 /// so serial and pooled evaluation must agree exactly.
 std::vector<std::string> mixedJobs() {
@@ -68,9 +73,9 @@ TEST(PoolTest, ResultsMatchSerialExecution) {
     EXPECT_EQ(R.Output, Want[I]);
   }
   PoolStats S = Pool.stats();
-  EXPECT_EQ(S.JobsCompleted, Futures.size());
-  EXPECT_EQ(S.JobsFailed, 0u);
-  EXPECT_EQ(S.JobsRejected, 0u);
+  EXPECT_EQ(jobs(S, JobOutcome::Ok), Futures.size());
+  EXPECT_EQ(jobs(S, JobOutcome::Error), 0u);
+  EXPECT_EQ(jobs(S, JobOutcome::Rejected), 0u);
 }
 
 TEST(PoolTest, WorkerIsolationOfMarksAndParameters) {
@@ -137,7 +142,8 @@ TEST(PoolTest, LimitTripOnOneJobDoesNotPoisonSiblings) {
     EXPECT_EQ(R.Output, "42");
   }
   PoolStats S = Pool.stats();
-  EXPECT_EQ(S.JobsTripped, 2u);
+  EXPECT_EQ(jobs(S, JobOutcome::TrippedTimeout), 1u);
+  EXPECT_EQ(jobs(S, JobOutcome::TrippedHeap), 1u);
   EXPECT_GE(S.Engines.LimitTimeoutTrips, 1u);
   EXPECT_GE(S.Engines.LimitHeapTrips, 1u);
 }
@@ -183,7 +189,7 @@ TEST(PoolTest, ImmediateShutdownRejectsQueuedJobsButResolvesAllFutures) {
   }
   EXPECT_EQ(Completed + Rejected, 10u);
   EXPECT_GE(Rejected, 1u); // A 1-worker pool cannot have run all ten.
-  EXPECT_EQ(Pool.stats().JobsRejected, Rejected);
+  EXPECT_EQ(jobs(Pool.stats(), JobOutcome::Rejected), Rejected);
 }
 
 TEST(PoolTest, SubmitAfterShutdownIsRejected) {
@@ -195,34 +201,6 @@ TEST(PoolTest, SubmitAfterShutdownIsRejected) {
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Outcome, JobOutcome::Rejected);
   EXPECT_NE(R.Error.find("shut down"), std::string::npos);
-}
-
-TEST(PoolTest, TrySubmitAppliesBackpressureWhenQueueIsFull) {
-  PoolOptions O;
-  O.Workers = 1;
-  O.QueueCapacity = 1;
-  EnginePool Pool(O);
-  // Warm the worker first: engine construction (prelude load) happens
-  // lazily on its first job and can outlast any fixed grace period on a
-  // slow host (TSan stretches it past 100ms on one core).
-  EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
-  std::future<JobResult> Hog = Pool.submit("(begin (sleep-ms 300) 'hog)");
-  // Poll until the worker dequeues the hog and the lone queue slot
-  // frees up; the hog then sleeps for 300ms, so the slot stays ours.
-  std::future<JobResult> Queued;
-  bool Accepted = false;
-  for (int I = 0; I < 500 && !Accepted; ++I) {
-    Accepted = Pool.trySubmit("'queued", EngineLimits(), Queued);
-    if (!Accepted)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_TRUE(Accepted);
-  // 'queued now occupies the lone slot while the hog is still asleep,
-  // so a third job bounces.
-  std::future<JobResult> Overflow;
-  EXPECT_FALSE(Pool.trySubmit("'overflow", EngineLimits(), Overflow));
-  EXPECT_EQ(Hog.get().Output, "hog");
-  EXPECT_EQ(Queued.get().Output, "queued");
 }
 
 TEST(PoolTest, InterruptAllEvictsRunningJobs) {
@@ -267,7 +245,7 @@ TEST(PoolTest, AggregatedStatsCoverAllWorkers) {
     EXPECT_EQ(F.get().Output, "42");
   PoolStats S = Pool.stats();
   EXPECT_EQ(S.JobsSubmitted, 16u);
-  EXPECT_EQ(S.JobsCompleted, 16u);
+  EXPECT_EQ(jobs(S, JobOutcome::Ok), 16u);
   // Cheap-tier counter: every job captured one continuation, and the
   // aggregate sums across both workers' engines.
   EXPECT_GE(S.Engines.ContinuationCaptures, 16u);
@@ -286,14 +264,14 @@ TEST(PoolTest, TelemetryHistogramsCoverEveryRetiredJob) {
     EXPECT_TRUE(F.get().Ok);
   Pool.shutdown();
   PoolTelemetry T = Pool.telemetry();
-  EXPECT_EQ(T.JobsOk, 20u);
+  EXPECT_EQ(jobs(T.Stats, JobOutcome::Ok), 20u);
   EXPECT_EQ(T.QueueWaitUs.count(), 20u);
   EXPECT_EQ(T.RunUs.count(), 20u);
-  // Outcome counters partition the retired jobs.
-  EXPECT_EQ(T.JobsOk + T.JobsError + T.TrippedHeap + T.TrippedStack +
-                T.TrippedTimeout + T.TrippedInterrupt,
-            20u);
-  EXPECT_EQ(T.Stats.JobsCompleted, 20u);
+  // The outcome table partitions the resolved jobs.
+  uint64_t Resolved = 0;
+  for (uint64_t N : T.Stats.ByOutcome)
+    Resolved += N;
+  EXPECT_EQ(Resolved, 20u);
 }
 
 TEST(PoolTest, QueueWaitP99GrowsUnderBackpressure) {
@@ -354,6 +332,26 @@ TEST(PoolTest, MetricsExportBothFormats) {
             std::string::npos);
   EXPECT_NE(Prom.find("cmarks_pool_retries_total 0"), std::string::npos);
   EXPECT_NE(Prom.find("cmarks_pool_live_workers"), std::string::npos);
+  // One jobs_total series per outcome, exported even at zero; rejected
+  // jobs are counted by their own family instead.
+  for (int I = 0; I < NumJobOutcomes; ++I) {
+    JobOutcome Out = static_cast<JobOutcome>(I);
+    std::string Series = std::string("cmarks_pool_jobs_total{outcome=\"") +
+                         jobOutcomeName(Out) + "\"} ";
+    size_t Count = 0;
+    for (size_t At = Prom.find(Series); At != std::string::npos;
+         At = Prom.find(Series, At + 1))
+      ++Count;
+    EXPECT_EQ(Count, Out == JobOutcome::Rejected ? 0u : 1u) << Series;
+  }
+  EXPECT_NE(Prom.find("cmarks_pool_jobs_total{outcome=\"ok\"} 10"),
+            std::string::npos);
+  EXPECT_NE(Prom.find("cmarks_pool_jobs_rejected_total 0"), std::string::npos);
+  // No graceful-degradation series.
+  for (const std::string *Doc : {&Prom, &Json}) {
+    EXPECT_EQ(Doc->find("cmarks_pool_pressure_active"), std::string::npos);
+    EXPECT_EQ(Doc->find("cmarks_pool_jobs_degraded_total"), std::string::npos);
+  }
 }
 
 TEST(PoolTest, JobSpansCarryIdsAcrossWorkersInMergedTrace) {
@@ -444,11 +442,11 @@ TEST(PoolTest, FatalJobTriggersSupervisedWorkerRestart) {
   EXPECT_EQ(After.Output, "42");
 
   Pool.shutdown();
-  PoolTelemetry T = Pool.telemetry();
-  EXPECT_EQ(T.WorkerRestarts, 1u);
-  EXPECT_EQ(T.BreakerOpens, 0u);
-  EXPECT_EQ(T.TrippedHeap, 1u);
-  EXPECT_EQ(T.JobsOk, 2u);
+  PoolStats S = Pool.stats();
+  EXPECT_EQ(S.WorkerRestarts, 1u);
+  EXPECT_EQ(S.BreakerOpens, 0u);
+  EXPECT_EQ(jobs(S, JobOutcome::TrippedHeap), 1u);
+  EXPECT_EQ(jobs(S, JobOutcome::Ok), 2u);
 
   // The restart is observable in the merged timeline too: a
   // "worker-restart" span in the replacement incarnation's track.
@@ -484,7 +482,7 @@ TEST(PoolTest, WorkerRestartDropsEngineSegmentPool) {
   EXPECT_TRUE(After.Ok) << After.Error;
   EXPECT_EQ(After.Output, "20000");
   Pool.shutdown();
-  EXPECT_EQ(Pool.telemetry().WorkerRestarts, 1u);
+  EXPECT_EQ(Pool.stats().WorkerRestarts, 1u);
 }
 
 TEST(PoolTest, CircuitBreakerRetiresWorkerAfterConsecutiveFatalFailures) {
@@ -506,8 +504,8 @@ TEST(PoolTest, CircuitBreakerRetiresWorkerAfterConsecutiveFatalFailures) {
   EXPECT_EQ(R3.Outcome, JobOutcome::Rejected);
 
   PoolTelemetry T = Pool.telemetry();
-  EXPECT_EQ(T.WorkerRestarts, 1u); // Fatal #1 rebuilt; #2 tripped the breaker.
-  EXPECT_EQ(T.BreakerOpens, 1u);
+  EXPECT_EQ(T.Stats.WorkerRestarts, 1u); // Fatal #1 rebuilt; #2 opened it.
+  EXPECT_EQ(T.Stats.BreakerOpens, 1u);
   EXPECT_EQ(T.LiveWorkers, 0u);
   Pool.shutdown(); // Still idempotent on a self-stopped pool.
 }
@@ -527,8 +525,7 @@ TEST(PoolTest, DeadlineExpiresJobStuckInQueue) {
   EXPECT_EQ(R.Outcome, JobOutcome::Expired);
   EXPECT_EQ(R.Attempts, 0u);
   EXPECT_EQ(Hog.get().Output, "hog");
-  PoolTelemetry T = Pool.telemetry();
-  EXPECT_EQ(T.JobsExpired, 1u);
+  EXPECT_EQ(jobs(Pool.stats(), JobOutcome::Expired), 1u);
   EXPECT_NE(Pool.metricsText().find("cmarks_pool_jobs_expired_total 1"),
             std::string::npos);
 }
@@ -617,9 +614,10 @@ TEST(PoolTest, RetryBackoffIsDeterministicAndCapped) {
 TEST(PoolTest, RetryPolicyReRunsInterruptedJobs) {
   PoolOptions O;
   O.Workers = 1;
-  O.DefaultRetry.MaxAttempts = 3;
-  O.DefaultRetry.BaseBackoffMs = 1;
   EnginePool Pool(O);
+  RetryPolicy RP;
+  RP.MaxAttempts = 3;
+  RP.BaseBackoffMs = 1;
   EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
   // One interrupt fired mid-run evicts attempt 1 (transient); the retry
   // runs clean and succeeds. The interrupt-vs-job-start race is real, so
@@ -627,7 +625,8 @@ TEST(PoolTest, RetryPolicyReRunsInterruptedJobs) {
   bool SawRetry = false;
   for (int Try = 0; Try < 40 && !SawRetry; ++Try) {
     std::future<JobResult> F = Pool.submit(
-        "(let loop ((i 30000000)) (if (= i 0) 'done (loop (- i 1))))");
+        "(let loop ((i 30000000)) (if (= i 0) 'done (loop (- i 1))))",
+        SubmitOptions().retry(RP));
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     Pool.interruptAll();
     JobResult R = F.get();
@@ -663,41 +662,9 @@ TEST(PoolTest, AdmissionControlShedsWhenQueueWaitExceedsBudget) {
   EXPECT_EQ(R.Outcome, JobOutcome::Shed);
   EXPECT_EQ(R.Id, 0u); // Never entered the queue.
   EXPECT_NE(R.Error.find("admission control"), std::string::npos) << R.Error;
-  // trySubmit sheds at the same door.
-  std::future<JobResult> F2;
-  EXPECT_FALSE(Pool.trySubmit("'also-late", EngineLimits(), F2));
-  PoolTelemetry T = Pool.telemetry();
-  EXPECT_GE(T.JobsShed, 2u);
+  EXPECT_EQ(jobs(Pool.stats(), JobOutcome::Shed), 1u);
   EXPECT_NE(Pool.metricsText().find("cmarks_pool_jobs_shed_total"),
             std::string::npos);
-}
-
-TEST(PoolTest, PressureTightensDefaultLimitsBeforeShedding) {
-  PoolOptions O;
-  O.Workers = 1;
-  O.QueueWaitBudgetMs = 100000; // Effectively never shed...
-  O.PressureQueueWaitMs = 10;   // ...but degrade early.
-  O.EnablePressureLimits = true;
-  O.PressureLimits.TimeoutMs = 40;
-  EnginePool Pool(O);
-  EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
-  std::vector<std::future<JobResult>> Burst;
-  for (int I = 0; I < 10; ++I)
-    Burst.push_back(Pool.submit("(begin (sleep-ms 25) 'slow)"));
-  for (auto &F : Burst)
-    EXPECT_TRUE(F.get().Ok);
-  EXPECT_TRUE(Pool.pressureActive());
-  // A default-limit job now inherits the tightened pressure budgets: the
-  // spinner is evicted by the 40ms pressure timeout it never asked for.
-  JobResult R = Pool.submit("(let loop () (loop))").get();
-  EXPECT_EQ(R.Outcome, JobOutcome::TrippedTimeout);
-  // Explicit per-job limits are never overridden.
-  EngineLimits Generous;
-  JobResult R2 = Pool.submit("'fine", Generous).get();
-  EXPECT_TRUE(R2.Ok) << R2.Error;
-  PoolTelemetry T = Pool.telemetry();
-  EXPECT_GE(T.JobsDegraded, 1u);
-  EXPECT_TRUE(T.PressureActive);
 }
 
 void expectBlockedSubmitterRejectedOnShutdown(bool Drain) {
@@ -707,15 +674,8 @@ void expectBlockedSubmitterRejectedOnShutdown(bool Drain) {
   EnginePool Pool(O);
   EXPECT_EQ(Pool.submit("'warm").get().Output, "warm");
   std::future<JobResult> Hog = Pool.submit("(begin (sleep-ms 600) 'hog)");
-  // Wait for the worker to dequeue the hog, then occupy the lone slot.
-  std::future<JobResult> Queued;
-  bool Accepted = false;
-  for (int I = 0; I < 500 && !Accepted; ++I) {
-    Accepted = Pool.trySubmit("'queued", EngineLimits(), Queued);
-    if (!Accepted)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_TRUE(Accepted);
+  // Blocks until the worker dequeues the hog, then occupies the lone slot.
+  std::future<JobResult> Queued = Pool.submit("'queued");
   // This submitter blocks on backpressure: queue full, hog asleep.
   std::future<JobResult> BlockedF;
   std::thread Submitter([&] { BlockedF = Pool.submit("'blocked"); });

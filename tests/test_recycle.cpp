@@ -214,8 +214,7 @@ TEST(Recycle, NurseryCountersMove) {
   VMStats S = E.stats();
   EXPECT_GT(E.heap().stats().Collections, 0u);
   EXPECT_GT(S.NurseryResets + S.NurseryPromotions, 0u);
-  if (statsDetailEnabled())
-    EXPECT_GT(S.NurseryAllocs, 100000u);
+  EXPECT_GT(S.NurseryAllocs, 100000u);
 }
 
 // ---------------------------------------------------------------- footprint --

@@ -42,13 +42,11 @@ TEST(Stats, TailWcmLoopReifiesExactlyOnce) {
       "(go)");
   EXPECT_EQ(S.Reifications, 1u);
   EXPECT_EQ(S.ReifyTailFrame, 1u);
-  if (statsDetailEnabled()) {
-    // One mark-frame create for the first mark, then 999 rebinds of the
-    // same key on the same conceptual frame.
-    EXPECT_EQ(S.MarkFrameCreates, 1u);
-    EXPECT_EQ(S.MarkFrameRebinds, 999u);
-    EXPECT_EQ(S.MarkFrameExtends, 0u);
-  }
+  // One mark-frame create for the first mark, then 999 rebinds of the
+  // same key on the same conceptual frame.
+  EXPECT_EQ(S.MarkFrameCreates, 1u);
+  EXPECT_EQ(S.MarkFrameRebinds, 999u);
+  EXPECT_EQ(S.MarkFrameExtends, 0u);
 }
 
 TEST(Stats, NonTailWcmUsesCallAttach) {
@@ -86,8 +84,6 @@ TEST(Stats, No1ccVariantRecordsZeroFusions) {
 }
 
 TEST(Stats, MarkFirstCacheConvergesOnDeepChains) {
-  if (!statsDetailEnabled())
-    GTEST_SKIP() << "detail tier compiled out (CMARKS_STATS=0)";
   // Paper 7.5: repeated continuation-mark-set-first queries over a deep
   // chain install a cache entry at depth N/2, so hits grow with the query
   // count while misses stay bounded (only the first walk misses).

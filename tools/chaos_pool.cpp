@@ -171,7 +171,7 @@ PlannedJob planJob(uint64_t Index, const ChaosOptions &C, Rng &R) {
 
 /// Client-side outcome ledger: one slot per JobOutcome value, per kind.
 struct Ledger {
-  uint64_t ByOutcome[9] = {0};
+  uint64_t ByOutcome[NumJobOutcomes] = {0};
   uint64_t ByKind[NumKinds] = {0};
   uint64_t KindOk[NumKinds] = {0};
   /// Per kind: refused without running (shed/expired/rejected) — load
@@ -354,11 +354,11 @@ int main(int Argc, char **Argv) {
 
     Pool.shutdown(/*Drain=*/true);
     T = Pool.telemetry();
-    Restarts = T.WorkerRestarts;
-    BreakerOpens = T.BreakerOpens;
-    Retries = T.RetriesAttempted;
+    Restarts = T.Stats.WorkerRestarts;
+    BreakerOpens = T.Stats.BreakerOpens;
+    Retries = T.Stats.RetriesAttempted;
     for (const Ledger &L : Ledgers) {
-      for (int I = 0; I < 9; ++I)
+      for (int I = 0; I < NumJobOutcomes; ++I)
         Total.ByOutcome[I] += L.ByOutcome[I];
       for (int K = 0; K < NumKinds; ++K) {
         Total.ByKind[K] += L.ByKind[K];
@@ -392,32 +392,23 @@ int main(int Argc, char **Argv) {
     };
 
     // 1. Full accounting: every submitted job resolved with exactly one
-    //    outcome, and the client ledger matches the pool's telemetry.
+    //    outcome, and the client ledger matches the pool's telemetry
+    //    outcome by outcome (rejections come only from a breaker-forced
+    //    pool-off here, since every future is drained before the drain
+    //    shutdown).
     uint64_t ClientTotal = 0;
-    for (int I = 0; I < 9; ++I)
+    for (int I = 0; I < NumJobOutcomes; ++I) {
       ClientTotal += Total.ByOutcome[I];
+      if (Total.ByOutcome[I] != T.Stats.ByOutcome[I]) {
+        ++Failures;
+        std::fprintf(stderr,
+                     "chaos_pool: FAIL %s count %llu != telemetry %llu\n",
+                     jobOutcomeName(static_cast<JobOutcome>(I)),
+                     static_cast<unsigned long long>(Total.ByOutcome[I]),
+                     static_cast<unsigned long long>(T.Stats.ByOutcome[I]));
+      }
+    }
     Check(ClientTotal == C.Jobs, "every job resolves exactly once");
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::Ok)] == T.JobsOk,
-          "ok count matches telemetry");
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::Error)] == T.JobsError,
-          "error count matches telemetry");
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::TrippedHeap)] ==
-              T.TrippedHeap,
-          "tripped-heap count matches telemetry");
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::TrippedStack)] ==
-              T.TrippedStack,
-          "tripped-stack count matches telemetry");
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::TrippedTimeout)] ==
-              T.TrippedTimeout,
-          "tripped-timeout count matches telemetry");
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::TrippedInterrupt)] ==
-              T.TrippedInterrupt,
-          "tripped-interrupt count matches telemetry");
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::Expired)] ==
-              T.JobsExpired,
-          "expired count matches telemetry");
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::Shed)] == T.JobsShed,
-          "shed count matches telemetry");
 
     // 2. Goodput: healthy traffic survives the hostile mix. Jobs the
     //    pool refused without running (shed under an armed admission
@@ -454,36 +445,23 @@ int main(int Argc, char **Argv) {
             "worker-restart span present in the merged trace");
     }
 
-    // 4. The pool's own bookkeeping is self-consistent: rejected jobs
-    //    (breaker-forced pool-off is the only path here, since every
-    //    future is drained before the drain shutdown) match telemetry,
-    //    and no worker retired more than once.
-    Check(Total.ByOutcome[static_cast<int>(JobOutcome::Rejected)] ==
-              T.Stats.JobsRejected,
-          "rejected count matches telemetry");
+    // 4. No worker retired more than once.
     Check(BreakerOpens <= C.Workers, "at most one breaker open per worker");
 
     uint64_t ElapsedMs = (nowNanos() - T0) / 1000000;
+    std::printf("chaos_pool: %llu jobs / %u %s workers / seed %llu in %llu "
+                "ms\n  outcomes:",
+                static_cast<unsigned long long>(C.Jobs), C.Workers,
+                C.Fibers ? "fiber" : "blocking",
+                static_cast<unsigned long long>(C.Seed),
+                static_cast<unsigned long long>(ElapsedMs));
+    for (int I = 0; I < NumJobOutcomes; ++I)
+      std::printf(" %s=%llu", jobOutcomeName(static_cast<JobOutcome>(I)),
+                  static_cast<unsigned long long>(Total.ByOutcome[I]));
     std::printf(
-        "chaos_pool: %llu jobs / %u %s workers / seed %llu in %llu ms\n"
-        "  outcomes: ok=%llu error=%llu heap=%llu stack=%llu timeout=%llu "
-        "interrupt=%llu expired=%llu shed=%llu rejected=%llu\n"
-        "  mix: healthy=%llu spinner=%llu eater=%llu escalator=%llu\n"
+        "\n  mix: healthy=%llu spinner=%llu eater=%llu escalator=%llu\n"
         "  goodput=%.1f%% restarts=%llu breaker-opens=%llu retries=%llu "
         "retried-jobs=%llu\n",
-        static_cast<unsigned long long>(C.Jobs), C.Workers,
-        C.Fibers ? "fiber" : "blocking",
-        static_cast<unsigned long long>(C.Seed),
-        static_cast<unsigned long long>(ElapsedMs),
-        static_cast<unsigned long long>(Total.ByOutcome[0]),
-        static_cast<unsigned long long>(Total.ByOutcome[1]),
-        static_cast<unsigned long long>(Total.ByOutcome[2]),
-        static_cast<unsigned long long>(Total.ByOutcome[3]),
-        static_cast<unsigned long long>(Total.ByOutcome[4]),
-        static_cast<unsigned long long>(Total.ByOutcome[5]),
-        static_cast<unsigned long long>(Total.ByOutcome[6]),
-        static_cast<unsigned long long>(Total.ByOutcome[7]),
-        static_cast<unsigned long long>(Total.ByOutcome[8]),
         static_cast<unsigned long long>(Total.ByKind[Healthy]),
         static_cast<unsigned long long>(Total.ByKind[Spinner]),
         static_cast<unsigned long long>(Total.ByKind[HeapEater]),
@@ -507,7 +485,7 @@ int main(int Argc, char **Argv) {
                      static_cast<unsigned long long>(ElapsedMs));
         std::fprintf(F, "  \"fault_spec\": \"%s\",\n", C.FaultSpec.c_str());
         std::fprintf(F, "  \"outcomes\": {");
-        for (int I = 0; I < 9; ++I)
+        for (int I = 0; I < NumJobOutcomes; ++I)
           std::fprintf(F, "%s\"%s\": %llu", I ? ", " : "",
                        jobOutcomeName(static_cast<JobOutcome>(I)),
                        static_cast<unsigned long long>(Total.ByOutcome[I]));

@@ -184,7 +184,8 @@ int main(int argc, char **argv) {
     std::printf("stress_fibers: %llu jobs over %u workers: %llu ok, "
                 "%llu failed, %llu wrong; %llu fiber spawns, %llu parks\n",
                 static_cast<unsigned long long>(O.Jobs), O.Workers,
-                static_cast<unsigned long long>(S.JobsCompleted),
+                static_cast<unsigned long long>(
+                    S.ByOutcome[static_cast<int>(JobOutcome::Ok)]),
                 static_cast<unsigned long long>(NotOk),
                 static_cast<unsigned long long>(Mismatches),
                 static_cast<unsigned long long>(S.Engines.FiberSpawns),
