@@ -289,12 +289,10 @@ void emitArtifacts() {
   Pool.shutdown();
 
   auto WriteTo = [](const char *Path, const std::string &Body) {
-    std::FILE *F = std::fopen(Path, "w");
-    if (!F || std::fwrite(Body.data(), 1, Body.size(), F) != Body.size()) {
+    if (!writeFile(Path, Body)) {
       std::fprintf(stderr, "bench_pool: cannot write %s\n", Path);
       std::exit(1);
     }
-    std::fclose(F);
     std::printf("  [artifact: %s]\n", Path);
   };
   if (JsonPath)

@@ -73,14 +73,6 @@ void client(EnginePool &Pool, int Id, int Rounds) {
   }
 }
 
-bool writeFile(const std::string &Path, const std::string &Body) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Body.data(), 1, Body.size(), F) == Body.size();
-  return std::fclose(F) == 0 && Ok;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {

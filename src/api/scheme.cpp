@@ -112,6 +112,48 @@ SchemeEngine::SchemeEngine(const EngineOptions &Opts)
 
 SchemeEngine::~SchemeEngine() = default;
 
+std::string SchemeEngine::readForms(const std::string &Source,
+                                    RootedValues &Forms) {
+  FaultPause Pause(Machine.faults());
+  std::string Err;
+  std::vector<Value> Raw = readAllFromString(Machine.heap(), Source, &Err);
+  if (!Err.empty())
+    return "read error: " + Err;
+  for (Value V : Raw)
+    Forms.push(V);
+  return "";
+}
+
+Value SchemeEngine::compileForm(Value Form, std::string &Err) {
+  FaultPause Pause(Machine.faults());
+  std::string CompileError;
+  Value Code = Comp.compileToplevel(Form, &CompileError);
+  if (!CompileError.empty()) {
+    Err = "compile error: " + CompileError;
+    return Value::undefined();
+  }
+  GCRoot CodeRoot(Machine.heap(), Code);
+  return Machine.heap().makeClosure(CodeRoot.get(), 0);
+}
+
+Value SchemeEngine::fail(const std::string &Msg, ErrorKind Kind, bool Fatal) {
+  LastError = Msg;
+  LastErrKind = Kind;
+  LastErrFatal = Fatal;
+  return Value::undefined();
+}
+
+Value SchemeEngine::failFromVM() {
+  fail(Machine.errorMessage(), Machine.errorKind(), Machine.errorFatal());
+  Machine.clearError();
+  return Value::undefined();
+}
+
+Value SchemeEngine::failExhausted(const ResourceExhausted &Ex) {
+  Machine.clearError();
+  return fail(Ex.What, errorKindOf(Ex.Kind), /*Fatal=*/true);
+}
+
 Value SchemeEngine::eval(const std::string &Source) {
   LastError.clear();
   LastErrKind = ErrorKind::None;
@@ -121,55 +163,26 @@ Value SchemeEngine::eval(const std::string &Source) {
   // The reader and compiler allocate outside applyProcedure's recovery
   // scope, so a heap budget exhausted during read/compile surfaces here.
   try {
-    // Read all forms up front (rooted), then compile+run one at a time.
-    std::string ReadError;
+    // Read all forms up front (rooted), then compile and run one at a
+    // time: a form's compile error leaves the earlier forms' effects.
     RootedValues Forms(H);
-    {
-      FaultPause Pause(Machine.faults());
-      std::vector<Value> Raw = readAllFromString(H, Source, &ReadError);
-      if (!ReadError.empty()) {
-        LastError = "read error: " + ReadError;
-        LastErrKind = ErrorKind::Runtime;
-        return Value::undefined();
-      }
-      for (Value V : Raw)
-        Forms.push(V);
-    }
-
+    std::string Err = readForms(Source, Forms);
+    if (!Err.empty())
+      return fail(Err, ErrorKind::Runtime);
     GCRoot Result(H, Value::voidValue());
     for (size_t I = 0; I < Forms.size(); ++I) {
-      GCRoot CodeRoot(H, Value::undefined());
-      {
-        FaultPause Pause(Machine.faults());
-        std::string CompileError;
-        Value Code = Comp.compileToplevel(Forms[I], &CompileError);
-        if (!CompileError.empty()) {
-          LastError = "compile error: " + CompileError;
-          LastErrKind = ErrorKind::Runtime;
-          return Value::undefined();
-        }
-        CodeRoot.set(Code);
-        CodeRoot.set(H.makeClosure(CodeRoot.get(), 0));
-      }
-      Value Closure = CodeRoot.get();
+      GCRoot Closure(H, compileForm(Forms[I], Err));
+      if (!Err.empty())
+        return fail(Err, ErrorKind::Runtime);
       bool Ok = false;
-      Value V = Machine.applyProcedure(Closure, nullptr, 0, Ok);
-      if (!Ok) {
-        LastError = Machine.errorMessage();
-        LastErrKind = Machine.errorKind();
-        LastErrFatal = Machine.errorFatal();
-        Machine.clearError();
-        return Value::undefined();
-      }
+      Value V = Machine.applyProcedure(Closure.get(), nullptr, 0, Ok);
+      if (!Ok)
+        return failFromVM();
       Result.set(V);
     }
     return Result.get();
   } catch (const ResourceExhausted &Ex) {
-    LastError = Ex.What;
-    LastErrKind = errorKindOf(Ex.Kind);
-    LastErrFatal = true;
-    Machine.clearError();
-    return Value::undefined();
+    return failExhausted(Ex);
   }
 }
 
@@ -190,21 +203,11 @@ Value SchemeEngine::evalOrDie(const std::string &Source) {
 }
 
 bool SchemeEngine::dumpTrace(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  bool Ok = Machine.trace().writeJson(F);
-  std::fclose(F);
-  return Ok;
+  return writeFile(Path, Machine.trace().toJson());
 }
 
 bool SchemeEngine::dumpProfile(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  bool Ok = Machine.profiler().writeCollapsed(F);
-  std::fclose(F);
-  return Ok;
+  return writeFile(Path, Machine.profiler().toCollapsed());
 }
 
 std::string SchemeEngine::metricsText() const {
@@ -228,31 +231,17 @@ uint64_t SchemeEngine::spawnFiberJob(const std::string &Source,
   try {
     Heap &H = Machine.heap();
     FaultPause Pause(Machine.faults());
-    std::string ReadError;
     RootedValues Forms(H);
-    {
-      std::vector<Value> Raw = readAllFromString(H, Source, &ReadError);
-      if (!ReadError.empty()) {
-        if (CompileErr)
-          *CompileErr = "read error: " + ReadError;
-        return 0;
-      }
-      for (Value V : Raw)
-        Forms.push(V);
-    }
+    std::string Err = readForms(Source, Forms);
     // Compile every toplevel form up front to a closure; the fiber runs the
     // list through the prelude's #%run-thunks when it is first scheduled.
     RootedValues Thunks(H);
-    for (size_t I = 0; I < Forms.size(); ++I) {
-      std::string CompileError;
-      Value Code = Comp.compileToplevel(Forms[I], &CompileError);
-      if (!CompileError.empty()) {
-        if (CompileErr)
-          *CompileErr = "compile error: " + CompileError;
-        return 0;
-      }
-      GCRoot CodeRoot(H, Code);
-      Thunks.push(H.makeClosure(CodeRoot.get(), 0));
+    for (size_t I = 0; Err.empty() && I < Forms.size(); ++I)
+      Thunks.push(compileForm(Forms[I], Err));
+    if (!Err.empty()) {
+      if (CompileErr)
+        *CompileErr = Err;
+      return 0;
     }
     GCRoot ThunkList(H, Value::nil());
     for (size_t I = Thunks.size(); I > 0; --I)
@@ -279,11 +268,9 @@ Value SchemeEngine::runFiberSlice() {
   LastErrKind = ErrorKind::None;
   LastErrFatal = false;
   Value Slice = Machine.getGlobal("#%fiber-slice");
-  if (!Slice.isClosure()) {
-    LastError = "#%fiber-slice is not defined (prelude not loaded)";
-    LastErrKind = ErrorKind::Runtime;
-    return Value::undefined();
-  }
+  if (!Slice.isClosure())
+    return fail("#%fiber-slice is not defined (prelude not loaded)",
+                ErrorKind::Runtime);
   bool Ok = false;
   Value V;
   try {
@@ -291,20 +278,9 @@ Value SchemeEngine::runFiberSlice() {
     // segments of their own.
     V = Machine.applyProcedure(Slice, nullptr, 0, Ok, /*BaseSlots=*/256);
   } catch (const ResourceExhausted &Ex) {
-    LastError = Ex.What;
-    LastErrKind = errorKindOf(Ex.Kind);
-    LastErrFatal = true;
-    Machine.clearError();
-    return Value::undefined();
+    return failExhausted(Ex);
   }
-  if (!Ok) {
-    LastError = Machine.errorMessage();
-    LastErrKind = Machine.errorKind();
-    LastErrFatal = Machine.errorFatal();
-    Machine.clearError();
-    return Value::undefined();
-  }
-  return V;
+  return Ok ? V : failFromVM();
 }
 
 void SchemeEngine::failCurrentFiber() {
@@ -354,12 +330,5 @@ Value SchemeEngine::apply(Value Fn, const std::vector<Value> &Args) {
   bool Ok = false;
   Value V = Machine.applyProcedure(Fn, Args.data(),
                                    static_cast<uint32_t>(Args.size()), Ok);
-  if (!Ok) {
-    LastError = Machine.errorMessage();
-    LastErrKind = Machine.errorKind();
-    LastErrFatal = Machine.errorFatal();
-    Machine.clearError();
-    return Value::undefined();
-  }
-  return V;
+  return Ok ? V : failFromVM();
 }

@@ -229,6 +229,21 @@ public:
   void protect(Value V) { Machine.addPermanentRoot(V); }
 
 private:
+  /// Reads every form of \p Source into \p Forms. Returns "" or the
+  /// error, prefixed "read error: ".
+  std::string readForms(const std::string &Source, RootedValues &Forms);
+  /// Compiles one toplevel form into a closure of no arguments. On failure
+  /// returns undefined and sets \p Err, prefixed "compile error: ".
+  Value compileForm(Value Form, std::string &Err);
+
+  /// Records a failure for lastError() and its kind and fatality; returns
+  /// undefined, the failed call's result.
+  Value fail(const std::string &Msg, ErrorKind Kind, bool Fatal = false);
+  /// fail() with the VM's error, which it then clears.
+  Value failFromVM();
+  /// fail() with a reserve escalation, which is always fatal.
+  Value failExhausted(const ResourceExhausted &Ex);
+
   VM Machine;
   Compiler Comp;
   std::string LastError;

@@ -39,7 +39,6 @@ enum class Op : uint8_t {
   SetGlobal,    ///< u16 const index of the global cell; pops.
   DefineGlobal, ///< u16 const index of the global cell; pops; always binds.
   Pop,
-  Dup,
   MakeClosure, ///< u16 const index of code, u16 free count; pops free values.
 
   // Control.
@@ -61,7 +60,6 @@ enum class Op : uint8_t {
   MarksPop,      ///< marks := cdr(marks).
   MarksSetTop,   ///< Pops v; marks := cons(v, cdr(marks)).
   MarksTop,      ///< Pushes car(marks).
-  PushMarks,     ///< Pushes the marks register (a list).
 
   // Old-Racket-style mark stack (MarkStackMode comparator).
   MstkSet,  ///< Pops val, key; replaces the current frame's entry for key
@@ -97,10 +95,10 @@ enum class Op : uint8_t {
 
   // Superinstructions (compiler/peephole.cpp). The code generator never
   // emits these directly; the peephole pass fuses the dominant opcode
-  // sequences of the bench suite after codegen, and both dispatchers
-  // decode them. Fusion never crosses a jump target or a category-(a)/(b)
-  // attachment boundary (Reify/AttachSet/AttachGet/AttachConsume/
-  // CallAttach), so fused code is observationally identical to unfused.
+  // sequences of the bench suite after codegen. Fusion never crosses a
+  // jump target or a category-(a)/(b) attachment boundary (Reify/
+  // AttachSet/AttachGet/AttachConsume/CallAttach), so fused code is
+  // observationally identical to unfused.
   LocalLocal,    ///< u16 a, u16 b: push local a, then local b.
   LocalConst,    ///< u16 slot, u16 const: push local, then constant.
   AddLocalConst, ///< u16 slot, u16 const: push (+ local const).

@@ -91,7 +91,6 @@ bool isElisionSafe(Op O) {
   case Op::BoxLocal:
   case Op::PushGlobal:
   case Op::Pop:
-  case Op::Dup:
   case Op::Add:
   case Op::Sub:
   case Op::Mul:

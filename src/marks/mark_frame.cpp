@@ -28,7 +28,7 @@ Value cmk::markFrameUpdate(Heap &H, Value FrameOrFalse, Value Key, Value Val) {
   if (!FrameOrFalse.isMarkFrame()) {
     // First mark on this frame: the one-mark representation.
     CMK_STAT_DETAIL(H.vmStats(), MarkFrameCreates);
-    CMK_TRACE_DETAIL(H.traceBuf(), MarkFrameCreate);
+    CMK_TRACE_EV_P(H.traceBuf(), MarkFrameCreate);
     Value NewV = H.makeMarkFrame(1);
     MarkFrameObj *New = asMarkFrame(NewV);
     New->Entries[0] = KeyRoot.get();
@@ -46,10 +46,10 @@ Value cmk::markFrameUpdate(Heap &H, Value FrameOrFalse, Value Key, Value Val) {
 
   if (Existing >= 0) {
     CMK_STAT_DETAIL(H.vmStats(), MarkFrameRebinds);
-    CMK_TRACE_DETAIL(H.traceBuf(), MarkFrameRebind);
+    CMK_TRACE_EV_P(H.traceBuf(), MarkFrameRebind);
   } else {
     CMK_STAT_DETAIL(H.vmStats(), MarkFrameExtends);
-    CMK_TRACE_DETAIL(H.traceBuf(), MarkFrameExtend);
+    CMK_TRACE_EV_P(H.traceBuf(), MarkFrameExtend);
   }
   uint32_t NewN = Existing >= 0 ? N : N + 1;
   Value NewV = H.makeMarkFrame(NewN);
@@ -125,7 +125,7 @@ Value cmk::markListFirst(Heap &H, Value Marks, Value Key, Value Dflt,
   if (UntilTail.isUndefined()) {
     if (CacheHit) {
       CMK_STAT_DETAIL(H.vmStats(), MarkFirstCacheHits);
-      CMK_TRACE_DETAIL(H.traceBuf(), MarkCacheHit);
+      CMK_TRACE_EV_P(H.traceBuf(), MarkCacheHit);
     } else {
       CMK_STAT_DETAIL(H.vmStats(), MarkFirstCacheMisses);
     }
@@ -144,7 +144,7 @@ Value cmk::markListFirst(Heap &H, Value Marks, Value Key, Value Dflt,
       F->CacheTail = cdr(Q);
       F->H.Aux |= CacheValidBit;
       CMK_STAT_DETAIL(H.vmStats(), MarkFirstCacheInstalls);
-      CMK_TRACE_DETAIL(H.traceBuf(), MarkCacheInstall);
+      CMK_TRACE_EV_P(H.traceBuf(), MarkCacheInstall);
     }
   }
   return Found ? Result : Dflt;

@@ -42,7 +42,7 @@ Value makeMarkSetFromList(VM &M, Value Marks, Value Boundary) {
 /// the immutable marks list (amortized constant time, paper 2.2).
 Value captureCurrentMarks(VM &M, Value Boundary = Value::nil()) {
   CMK_STAT_DETAIL(&M.stats(), MarkSetCaptures);
-  CMK_TRACE_DETAIL(&M.trace(), MarkSetCapture);
+  CMK_TRACE_EV_P(&M.trace(), MarkSetCapture);
   if (!M.config().MarkStackMode)
     return makeMarkSetFromList(M, M.currentMarksList(), Boundary);
   uint32_t N = static_cast<uint32_t>(M.MarkStack.size());

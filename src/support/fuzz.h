@@ -177,9 +177,6 @@ struct FuzzLeg {
 
 /// The standard matrix: fused (reference), unfused, no-opt, no-1cc,
 /// heap-frames, copy-on-capture, and optionally the heap-model oracle.
-/// The threaded-vs-switch dispatch axis is a build-time option
-/// (CMARKS_THREADED); CI covers it by running the same smoke in the
-/// switch-dispatch matrix leg.
 std::vector<FuzzLeg> defaultLegs(bool IncludeOracle = true);
 
 /// Resolves a leg by its standard name ("fused", "unfused", "no-opt",

@@ -127,9 +127,7 @@ void MetricsRegistry::histogram(const std::string &Name,
                      Scale});
 }
 
-namespace {
-
-void appendJsonEscaped(std::string &Out, const std::string &S) {
+void cmk::appendJsonEscaped(std::string &Out, std::string_view S) {
   for (char Ch : S) {
     unsigned char C = static_cast<unsigned char>(Ch);
     switch (C) {
@@ -156,6 +154,16 @@ void appendJsonEscaped(std::string &Out, const std::string &S) {
     }
   }
 }
+
+bool cmk::writeFile(const std::string &Path, const std::string &Body) {
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  if (!F)
+    return false;
+  bool Ok = std::fwrite(Body.data(), 1, Body.size(), F) == Body.size();
+  return std::fclose(F) == 0 && Ok;
+}
+
+namespace {
 
 /// Number formatting shared by both exports: integers render without a
 /// fraction so counters stay exact; everything else gets enough digits

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -138,6 +139,17 @@ private:
   };
   std::vector<Entry> Entries;
 };
+
+/// Appends \p S to \p Out as the inside of a JSON string literal: quote,
+/// backslash, newline and tab get their short escapes, other control
+/// characters `\u00XX`. Shared by the metrics and trace exporters.
+void appendJsonEscaped(std::string &Out, std::string_view S);
+
+/// Writes \p Body to the file at \p Path, replacing its contents. False
+/// when the file cannot be opened or a byte does not reach it, including
+/// a failure that only surfaces when the file is closed (a full disk).
+/// Every export to a file (traces, profiles, metrics) goes through here.
+bool writeFile(const std::string &Path, const std::string &Body);
 
 } // namespace cmk
 

@@ -409,20 +409,23 @@ void EnginePool::workerMain(unsigned Idx) {
         std::lock_guard<std::mutex> L(EnginesMu);
         Engines[Idx] = nullptr;
       }
+      // The restart span closes the retired incarnation's ring, which
+      // nothing records into once it is snapshotted; in the replacement's
+      // ring the next jobs' events would wrap it away.
+      CMK_TRACE_EV(Engine->vm().trace(), WorkerRestartBegin, Idx);
       retireEngine(*Engine, Idx);
       Engine.reset();
       Engine = buildWorkerEngine(Idx, ++Incarnation);
       StatsMark = Engine->stats();
-      TraceBuffer &TB = Engine->vm().trace();
-      if (TB.Enabled) {
-        // The rebuild predates the replacement ring's epoch, so the span
-        // renders at the epoch with the true duration carried in Arg.
-        TB.record(TraceEv::WorkerRestartBegin, Idx);
-        TB.record(TraceEv::WorkerRestartEnd, nowNanos() - T0);
-      }
       {
         std::lock_guard<std::mutex> L(S.Mu);
         ++S.WorkerRestarts;
+        if (Opts.TraceCapacity) {
+          TraceBuffer &Retired = S.TraceSnaps.back();
+          uint64_t Dropped = Retired.dropped();
+          Retired.record(TraceEv::WorkerRestartEnd, nowNanos() - T0);
+          S.TraceDroppedPrior += Retired.dropped() - Dropped;
+        }
       }
       for (auto &[A, DelayNs] : Victims)
         Retry(std::move(A), DelayNs);
@@ -812,12 +815,7 @@ std::string EnginePool::traceJson() const {
 }
 
 bool EnginePool::dumpTrace(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string S = traceJson();
-  bool Ok = std::fwrite(S.data(), 1, S.size(), F) == S.size();
-  return std::fclose(F) == 0 && Ok;
+  return writeFile(Path, traceJson());
 }
 
 std::string EnginePool::profileCollapsed() const {
@@ -832,10 +830,5 @@ std::string EnginePool::profileCollapsed() const {
 }
 
 bool EnginePool::dumpProfile(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string S = profileCollapsed();
-  bool Ok = std::fwrite(S.data(), 1, S.size(), F) == S.size();
-  return std::fclose(F) == 0 && Ok;
+  return writeFile(Path, profileCollapsed());
 }

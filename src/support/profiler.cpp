@@ -190,8 +190,3 @@ std::string SamplingProfiler::toCollapsed() const {
   foldInto(F);
   return collapsedText(F);
 }
-
-bool SamplingProfiler::writeCollapsed(std::FILE *Out) const {
-  std::string S = toCollapsed();
-  return std::fwrite(S.data(), 1, S.size(), Out) == S.size();
-}

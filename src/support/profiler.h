@@ -91,7 +91,6 @@ public:
   /// Collapsed-stack text ("stack count\n" per distinct stack, sorted by
   /// stack string for determinism).
   std::string toCollapsed() const;
-  bool writeCollapsed(std::FILE *Out) const;
 
   /// Renders a fold (possibly merged across engines) as collapsed text.
   static std::string collapsedText(const std::map<std::string, uint64_t> &F);

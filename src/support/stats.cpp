@@ -8,43 +8,43 @@ namespace {
 
 const StatsCounterDesc Counters[] = {
     // Cheap tier.
-    {"reifications", &VMStats::Reifications, false},
-    {"reify-tail-frame", &VMStats::ReifyTailFrame, false},
-    {"reify-split", &VMStats::ReifySplit, false},
-    {"reify-attach-call", &VMStats::ReifyForAttachCall, false},
-    {"reify-capture", &VMStats::ReifyForCapture, false},
-    {"reify-attach-op", &VMStats::ReifyForAttachOp, false},
-    {"pass-through-records", &VMStats::PassThroughRecords, false},
-    {"underflow-fusions", &VMStats::UnderflowFusions, false},
-    {"underflow-copies", &VMStats::UnderflowCopies, false},
-    {"one-shot-promotions", &VMStats::OneShotPromotions, false},
-    {"continuation-captures", &VMStats::ContinuationCaptures, false},
-    {"continuation-applies", &VMStats::ContinuationApplies, false},
-    {"fiber-spawns", &VMStats::FiberSpawns, false},
-    {"fiber-parks", &VMStats::FiberParks, false},
-    {"segment-overflows", &VMStats::SegmentOverflows, false},
-    {"segment-allocs", &VMStats::SegmentAllocs, false},
-    {"segment-slots-allocated", &VMStats::SegmentSlotsAllocated, false},
-    {"segment-recycles", &VMStats::SegmentRecycles, false},
-    {"nursery-resets", &VMStats::NurseryResets, false},
-    {"nursery-promotions", &VMStats::NurseryPromotions, false},
-    {"safe-point-polls", &VMStats::SafePointPolls, false},
-    {"limit-heap-trips", &VMStats::LimitHeapTrips, false},
-    {"limit-stack-trips", &VMStats::LimitStackTrips, false},
-    {"limit-timeout-trips", &VMStats::LimitTimeoutTrips, false},
-    {"limit-interrupts", &VMStats::LimitInterrupts, false},
-    {"faults-injected", &VMStats::FaultsInjected, false},
+    {"reifications", &VMStats::Reifications},
+    {"reify-tail-frame", &VMStats::ReifyTailFrame},
+    {"reify-split", &VMStats::ReifySplit},
+    {"reify-attach-call", &VMStats::ReifyForAttachCall},
+    {"reify-capture", &VMStats::ReifyForCapture},
+    {"reify-attach-op", &VMStats::ReifyForAttachOp},
+    {"pass-through-records", &VMStats::PassThroughRecords},
+    {"underflow-fusions", &VMStats::UnderflowFusions},
+    {"underflow-copies", &VMStats::UnderflowCopies},
+    {"one-shot-promotions", &VMStats::OneShotPromotions},
+    {"continuation-captures", &VMStats::ContinuationCaptures},
+    {"continuation-applies", &VMStats::ContinuationApplies},
+    {"fiber-spawns", &VMStats::FiberSpawns},
+    {"fiber-parks", &VMStats::FiberParks},
+    {"segment-overflows", &VMStats::SegmentOverflows},
+    {"segment-allocs", &VMStats::SegmentAllocs},
+    {"segment-slots-allocated", &VMStats::SegmentSlotsAllocated},
+    {"segment-recycles", &VMStats::SegmentRecycles},
+    {"nursery-resets", &VMStats::NurseryResets},
+    {"nursery-promotions", &VMStats::NurseryPromotions},
+    {"safe-point-polls", &VMStats::SafePointPolls},
+    {"limit-heap-trips", &VMStats::LimitHeapTrips},
+    {"limit-stack-trips", &VMStats::LimitStackTrips},
+    {"limit-timeout-trips", &VMStats::LimitTimeoutTrips},
+    {"limit-interrupts", &VMStats::LimitInterrupts},
+    {"faults-injected", &VMStats::FaultsInjected},
     // Detail tier.
-    {"mark-frame-creates", &VMStats::MarkFrameCreates, true},
-    {"mark-frame-extends", &VMStats::MarkFrameExtends, true},
-    {"mark-frame-rebinds", &VMStats::MarkFrameRebinds, true},
-    {"mark-first-lookups", &VMStats::MarkFirstLookups, true},
-    {"mark-first-cache-hits", &VMStats::MarkFirstCacheHits, true},
-    {"mark-first-cache-misses", &VMStats::MarkFirstCacheMisses, true},
-    {"mark-first-cache-installs", &VMStats::MarkFirstCacheInstalls, true},
-    {"mark-first-cells-walked", &VMStats::MarkFirstCellsWalked, true},
-    {"mark-set-captures", &VMStats::MarkSetCaptures, true},
-    {"nursery-allocs", &VMStats::NurseryAllocs, true},
+    {"mark-frame-creates", &VMStats::MarkFrameCreates},
+    {"mark-frame-extends", &VMStats::MarkFrameExtends},
+    {"mark-frame-rebinds", &VMStats::MarkFrameRebinds},
+    {"mark-first-lookups", &VMStats::MarkFirstLookups},
+    {"mark-first-cache-hits", &VMStats::MarkFirstCacheHits},
+    {"mark-first-cache-misses", &VMStats::MarkFirstCacheMisses},
+    {"mark-first-cache-installs", &VMStats::MarkFirstCacheInstalls},
+    {"mark-first-cells-walked", &VMStats::MarkFirstCellsWalked},
+    {"mark-set-captures", &VMStats::MarkSetCaptures},
+    {"nursery-allocs", &VMStats::NurseryAllocs},
 };
 
 } // namespace

@@ -130,7 +130,6 @@ struct VMStats {
 struct StatsCounterDesc {
   const char *Name;         ///< Kebab-case, e.g. "underflow-fusions".
   uint64_t VMStats::*Field; ///< The counter itself.
-  bool Detail;              ///< True for detail-tier counters.
 };
 
 /// The full counter table, in declaration order. \p Count receives the

@@ -8,46 +8,48 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/trace.h"
+#include "support/metrics.h"
 #include "support/timing.h"
 
+#include <cstdio>
 #include <cstring>
 
 using namespace cmk;
 
 // Keep in declaration order of TraceEv; the exporter indexes by kind.
 static const TraceEventDesc Descs[] = {
-    {"reify-tail-frame", "reify", 'i', false},
-    {"reify-split", "reify", 'i', false},
-    {"attach-call-reify", "reify", 'i', false},
-    {"attach-op-reify", "reify", 'i', false},
-    {"underflow-fuse", "oneshot", 'i', false},
-    {"underflow-copy", "oneshot", 'i', false},
-    {"one-shot-promote", "oneshot", 'i', false},
-    {"capture", "cont", 'i', false},
-    {"cont-apply", "cont", 'i', false},
-    {"cont-jump", "cont", 'i', false},
-    {"segment-alloc", "segment", 'i', false},
-    {"segment-overflow", "segment", 'i', false},
-    {"dynamic-wind", "wind", 'B', false},
-    {"dynamic-wind", "wind", 'E', false},
-    {"wcm", "marks", 'B', false},
-    {"wcm", "marks", 'E', false},
-    {"wcm-tail", "marks", 'B', false},
-    {"wcm-tail", "marks", 'E', false},
-    {"span", "scheme", 'B', false},
-    {"span", "scheme", 'E', false},
-    {"snapshot", "scheme", 'i', false},
-    {"job", "job", 'B', false},
-    {"job", "job", 'E', false},
-    {"worker-restart", "supervision", 'B', false},
-    {"worker-restart", "supervision", 'E', false},
-    {"segment-recycle", "segment", 'i', false},
-    {"mark-frame-create", "marks-detail", 'i', true},
-    {"mark-frame-extend", "marks-detail", 'i', true},
-    {"mark-frame-rebind", "marks-detail", 'i', true},
-    {"mark-cache-hit", "marks-detail", 'i', true},
-    {"mark-cache-install", "marks-detail", 'i', true},
-    {"mark-set-capture", "marks-detail", 'i', true},
+    {"reify-tail-frame", "reify", 'i'},
+    {"reify-split", "reify", 'i'},
+    {"attach-call-reify", "reify", 'i'},
+    {"attach-op-reify", "reify", 'i'},
+    {"underflow-fuse", "oneshot", 'i'},
+    {"underflow-copy", "oneshot", 'i'},
+    {"one-shot-promote", "oneshot", 'i'},
+    {"capture", "cont", 'i'},
+    {"cont-apply", "cont", 'i'},
+    {"cont-jump", "cont", 'i'},
+    {"segment-alloc", "segment", 'i'},
+    {"segment-overflow", "segment", 'i'},
+    {"dynamic-wind", "wind", 'B'},
+    {"dynamic-wind", "wind", 'E'},
+    {"wcm", "marks", 'B'},
+    {"wcm", "marks", 'E'},
+    {"wcm-tail", "marks", 'B'},
+    {"wcm-tail", "marks", 'E'},
+    {"span", "scheme", 'B'},
+    {"span", "scheme", 'E'},
+    {"snapshot", "scheme", 'i'},
+    {"job", "job", 'B'},
+    {"job", "job", 'E'},
+    {"worker-restart", "supervision", 'B'},
+    {"worker-restart", "supervision", 'E'},
+    {"segment-recycle", "segment", 'i'},
+    {"mark-frame-create", "marks-detail", 'i'},
+    {"mark-frame-extend", "marks-detail", 'i'},
+    {"mark-frame-rebind", "marks-detail", 'i'},
+    {"mark-cache-hit", "marks-detail", 'i'},
+    {"mark-cache-install", "marks-detail", 'i'},
+    {"mark-set-capture", "marks-detail", 'i'},
 };
 
 static_assert(sizeof(Descs) / sizeof(Descs[0]) ==
@@ -109,34 +111,6 @@ const TraceEvent &TraceBuffer::at(uint64_t I) const {
 
 namespace {
 
-void appendEscaped(std::string &Out, const char *S) {
-  for (; *S; ++S) {
-    unsigned char C = static_cast<unsigned char>(*S);
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-}
-
 /// Appends one Chrome trace-event object. \p Ts is microseconds relative
 /// to the trace epoch; \p Name overrides the descriptor name when given.
 void appendEvent(std::string &Out, const TraceEventDesc &D, char Phase,
@@ -146,7 +120,7 @@ void appendEvent(std::string &Out, const TraceEventDesc &D, char Phase,
     Out += ",\n";
   char Buf[96];
   Out += "    {\"name\":\"";
-  appendEscaped(Out, Name && Name[0] ? Name : D.Name);
+  appendJsonEscaped(Out, Name && Name[0] ? Name : D.Name);
   Out += "\",\"cat\":\"";
   Out += D.Category;
   std::snprintf(Buf, sizeof(Buf),
@@ -226,10 +200,9 @@ std::string TraceBuffer::toJson() const {
   std::snprintf(Buf, sizeof(Buf),
                 "\n  ],\n  \"displayTimeUnit\": \"ms\",\n"
                 "  \"otherData\": {\"schema\": \"cmarks-trace-v1\", "
-                "\"events\": %llu, \"dropped\": %llu, \"detailTier\": %s}\n}\n",
+                "\"events\": %llu, \"dropped\": %llu}\n}\n",
                 static_cast<unsigned long long>(size()),
-                static_cast<unsigned long long>(dropped()),
-                traceDetailEnabled() ? "true" : "false");
+                static_cast<unsigned long long>(dropped()));
   Out += Buf;
   return Out;
 }
@@ -260,8 +233,8 @@ cmk::mergedTraceJson(const std::vector<const TraceBuffer *> &Buffers,
                   "\"tid\":%d,\"args\":{\"name\":\"",
                   Tid);
     Out += Buf;
-    appendEscaped(Out, I < ThreadNames.size() ? ThreadNames[I].c_str()
-                                              : "worker");
+    appendJsonEscaped(Out, I < ThreadNames.size() ? ThreadNames[I].c_str()
+                                                  : "worker");
     Out += "\"}}";
     appendBufferEvents(Out, *TB, Epoch, Tid);
     Events += TB->size();
@@ -272,17 +245,10 @@ cmk::mergedTraceJson(const std::vector<const TraceBuffer *> &Buffers,
   std::snprintf(Buf, sizeof(Buf),
                 "\n  ],\n  \"displayTimeUnit\": \"ms\",\n"
                 "  \"otherData\": {\"schema\": \"cmarks-trace-v1\", "
-                "\"events\": %llu, \"dropped\": %llu, \"detailTier\": %s, "
-                "\"threads\": %llu}\n}\n",
+                "\"events\": %llu, \"dropped\": %llu, \"threads\": %llu}\n}\n",
                 static_cast<unsigned long long>(Events),
                 static_cast<unsigned long long>(Dropped),
-                traceDetailEnabled() ? "true" : "false",
                 static_cast<unsigned long long>(Buffers.size()));
   Out += Buf;
   return Out;
-}
-
-bool TraceBuffer::writeJson(std::FILE *Out) const {
-  std::string S = toJson();
-  return std::fwrite(S.data(), 1, S.size(), Out) == S.size();
 }

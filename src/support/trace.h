@@ -10,15 +10,12 @@
 /// mark-frame representation transitions, and mark-cache behaviour (7.5)
 /// — so a run can be rendered as a timeline instead of a total.
 ///
-/// Two tiers, mirroring stats.h:
-///
-///  - The *cheap tier* is always compiled in. Its record sites sit on
-///    paths that already allocate or copy; when tracing is stopped each
-///    site costs one pointer load and one predictable branch.
-///  - The *detail tier* (per-update mark-frame events, per-lookup cache
-///    events) sits on genuinely hot paths and is compiled in only when
-///    `CMARKS_TRACE` is nonzero (CMake option `CMARKS_TRACE`, default
-///    OFF). Disabling it removes even the branch.
+/// Every event is compiled into every build. Recording is switched on
+/// and off at runtime: while tracing is stopped each record site costs
+/// one flag load and one predictable branch (plus a null test where the
+/// site reaches the buffer through a pointer), including the per-update
+/// mark-frame and per-lookup mark-cache sites on the marks layer's hot
+/// paths.
 ///
 /// Events land in a fixed-capacity ring buffer: recording never
 /// allocates, and a long run keeps the *newest* window of events (with a
@@ -38,35 +35,37 @@
 #define CMARKS_SUPPORT_TRACE_H
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+// Nothing in the library reads CMARKS_TRACE. The default stays only
+// because perfbench's production-build gate (perfbench/src/main.cpp)
+// reads it to report and refuse a trace build.
 #ifndef CMARKS_TRACE
 #define CMARKS_TRACE 0
 #endif
 
 namespace cmk {
 
-/// Every traced event kind, cheap tier first. Keep in sync with the
-/// descriptor table in trace.cpp (traceEventDescs).
+/// Every traced event kind. Keep in sync with the descriptor table in
+/// trace.cpp (traceEventDescs).
 enum class TraceEv : uint8_t {
-  // --- Cheap tier: reification, by cause (paper 6/7.2) ---------------------
+  // --- Reification, by cause (paper 6/7.2) ----------------------------------
   ReifyTailFrame,  ///< reifyCurrentFrame: tail attachment ops, tail capture.
   ReifySplit,      ///< reifyAtSp: non-tail capture, CallAttach, overflow.
   AttachCallReify, ///< The CallAttach convention forced a reification.
   AttachOpReify,   ///< A generic 7.1 attachment native forced one.
-  // --- Cheap tier: one-shot accounting (paper 6) ---------------------------
+  // --- One-shot accounting (paper 6) ----------------------------------------
   UnderflowFuse,   ///< Opportunistic one-shot fused back without copying.
   UnderflowCopy,   ///< Copy-on-application restore.
   OneShotPromote,  ///< Record promoted Opportunistic/one-shot -> Full.
-  // --- Cheap tier: continuations and segments ------------------------------
+  // --- Continuations and segments -------------------------------------------
   Capture,         ///< call/cc or call/1cc capture (arg: 1 for call/1cc).
   ContApply,       ///< Continuation applied to a value.
   ContJump,        ///< Machine jumped to a continuation (aborts, prompts).
   SegmentAlloc,    ///< Stack segment allocated (arg: capacity in slots).
   SegmentOverflow, ///< Stack split forced by a segment limit.
-  // --- Cheap tier: span-shaped VM events -----------------------------------
+  // --- Span-shaped VM events ------------------------------------------------
   WindEnter,       ///< dynamic-wind extent entered (Begin).
   WindExit,        ///< dynamic-wind extent left (End).
   MarksPush,       ///< Non-tail wcm extent entered: marks-register push
@@ -77,26 +76,26 @@ enum class TraceEv : uint8_t {
   AttachSet,       ///< Tail-position attachment set on a reified frame
                    ///< (Begin; the extent ends at consume or underflow).
   AttachConsume,   ///< Tail-position attachment consumed (End).
-  // --- Cheap tier: user profiling spans (#%trace-span-* natives) -----------
+  // --- User profiling spans (#%trace-span-* natives) ------------------------
   SpanBegin,       ///< Labeled user span opened.
   SpanEnd,         ///< Labeled user span closed.
   Instant,         ///< Labeled user instant (stack snapshots).
-  // --- Cheap tier: serving-job correlation (support/pool.h) -----------------
+  // --- Serving-job correlation (support/pool.h) -----------------------------
   JobBegin,        ///< Pool job started on this engine (label "job-<id>",
                    ///< arg = job id; Begin).
   JobEnd,          ///< Pool job finished (End).
-  // --- Cheap tier: worker supervision (support/pool.h) ----------------------
+  // --- Worker supervision (support/pool.h) ----------------------------------
   WorkerRestartBegin, ///< Pool worker began rebuilding its engine after a
                       ///< fatal (beyond-reserve) job failure (arg = worker
-                      ///< index; Begin). Recorded in the replacement
-                      ///< engine's ring, whose epoch starts at the rebuild.
+                      ///< index; Begin). Recorded last in the retired
+                      ///< engine's ring, so ring wraparound never drops it.
   WorkerRestartEnd,   ///< Replacement engine is serving again (arg = full
                       ///< rebuild time in ns, including engine
                       ///< construction; End).
-  // --- Cheap tier: segment recycling (paper 5) -------------------------------
+  // --- Segment recycling (paper 5) ------------------------------------------
   SegmentRecycle,  ///< Segment request served from the recycling pool
                    ///< instead of malloc (arg: capacity in slots).
-  // --- Detail tier (CMARKS_TRACE-gated): marks layer (paper 7.5) -----------
+  // --- Marks layer (paper 7.5) ----------------------------------------------
   MarkFrameCreate, ///< "no attachment" -> one-mark frame.
   MarkFrameExtend, ///< N-entry frame -> (N+1)-entry frame.
   MarkFrameRebind, ///< Same-size copy overwriting a binding.
@@ -119,24 +118,20 @@ struct TraceEvent {
 static_assert(sizeof(TraceEvent) == 40, "keep the ring buffer dense");
 
 /// One row of the event descriptor table: stable external names for the
-/// JSON export, a Perfetto category, the span phase, and the tier.
+/// JSON export, a Perfetto category, and the span phase.
 struct TraceEventDesc {
   const char *Name;     ///< Kebab-case, e.g. "underflow-fuse".
   const char *Category; ///< Perfetto category, e.g. "reify", "marks".
   char Phase;           ///< 'B' begin, 'E' end, 'i' instant.
-  bool Detail;          ///< True for detail-tier events.
 };
 
 /// The full descriptor table, indexed by TraceEv. \p Count receives the
 /// number of entries (== TraceEv::NumKinds).
 const TraceEventDesc *traceEventDescs(int &Count);
 
-/// True when the detail tier was compiled in (CMARKS_TRACE != 0).
-constexpr bool traceDetailEnabled() { return CMARKS_TRACE != 0; }
-
 /// Fixed-capacity ring of TraceEvents. One per VM; recording is enabled
 /// and disabled at runtime ((runtime-trace-start!) / -stop!), and the
-/// cheap-tier macros below compile to a pointer test when stopped.
+/// record macros below compile to a flag test when stopped.
 class TraceBuffer {
 public:
   static constexpr uint32_t DefaultCapacity = 64 * 1024;
@@ -186,9 +181,6 @@ public:
   /// timestamp.
   std::string toJson() const;
 
-  /// toJson() to a stream. Returns false on a write error.
-  bool writeJson(std::FILE *Out) const;
-
   /// Copyable: EnginePool workers snapshot their ring into pool-owned
   /// storage before the engine dies, so a pool-wide timeline can be
   /// exported after shutdown.
@@ -210,15 +202,15 @@ std::string mergedTraceJson(const std::vector<const TraceBuffer *> &Buffers,
 
 } // namespace cmk
 
-// Cheap-tier record through a TraceBuffer lvalue (VM-internal sites):
-// one flag test when tracing is stopped.
+// Record through a TraceBuffer lvalue (VM-internal sites): one flag test
+// when tracing is stopped.
 #define CMK_TRACE_EV(TB, KIND, ...)                                            \
   do {                                                                         \
     if ((TB).Enabled)                                                          \
       (TB).record(::cmk::TraceEv::KIND, ##__VA_ARGS__);                        \
   } while (false)
 
-// Cheap-tier record through a possibly-null TraceBuffer pointer (heap- and
+// Record through a possibly-null TraceBuffer pointer (heap- and
 // marks-layer sites that may run without an attached VM).
 #define CMK_TRACE_EV_P(TPtr, KIND, ...)                                        \
   do {                                                                         \
@@ -226,14 +218,5 @@ std::string mergedTraceJson(const std::vector<const TraceBuffer *> &Buffers,
     if (CmkT_ && CmkT_->Enabled)                                               \
       CmkT_->record(::cmk::TraceEv::KIND, ##__VA_ARGS__);                      \
   } while (false)
-
-// Detail-tier record: same as CMK_TRACE_EV_P when CMARKS_TRACE is nonzero,
-// nothing at all otherwise.
-#if CMARKS_TRACE
-#define CMK_TRACE_DETAIL(TPtr, KIND, ...)                                      \
-  CMK_TRACE_EV_P(TPtr, KIND, ##__VA_ARGS__)
-#else
-#define CMK_TRACE_DETAIL(TPtr, KIND, ...) ((void)0)
-#endif
 
 #endif // CMARKS_SUPPORT_TRACE_H

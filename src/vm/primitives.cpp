@@ -799,13 +799,8 @@ Value nativeTraceDump(VM &M, Value *Args, uint32_t NArgs) {
   if (!Args[0].isString())
     return typeError(M, "runtime-trace-dump", "string", Args[0]);
   StringObj *S = asString(Args[0]);
-  std::string Path(S->Data, S->Len);
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return Value::False();
-  bool Ok = M.trace().writeJson(F);
-  std::fclose(F);
-  return Value::boolean(Ok);
+  return Value::boolean(
+      writeFile(std::string(S->Data, S->Len), M.trace().toJson()));
 }
 
 /// (profiler-start!) / (profiler-start! hz) / (profiler-start! hz capacity):
@@ -849,13 +844,8 @@ Value nativeProfilerDump(VM &M, Value *Args, uint32_t NArgs) {
   if (!Args[0].isString())
     return typeError(M, "profiler-dump", "string", Args[0]);
   StringObj *S = asString(Args[0]);
-  std::string Path(S->Data, S->Len);
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return Value::False();
-  bool Ok = M.profiler().writeCollapsed(F);
-  std::fclose(F);
-  return Value::boolean(Ok);
+  return Value::boolean(
+      writeFile(std::string(S->Data, S->Len), M.profiler().toCollapsed()));
 }
 
 /// (runtime-metrics) -> the engine's `cmarks-metrics-v1` JSON document as

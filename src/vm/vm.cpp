@@ -552,16 +552,13 @@ Value VM::applyProcedure(Value Fn, const Value *Args, uint32_t NArgs,
 // The interpreter loop.
 // -----------------------------------------------------------------------------
 //
-// Two dispatch strategies share the same handler bodies:
-//
-//  - CMARKS_THREADED on a GCC/Clang compiler: computed-goto threading.
-//    Every handler ends by jumping through a &&label table indexed by the
-//    next opcode byte, so the indirect branch is replicated per handler
-//    and the branch predictor can learn per-opcode successor patterns.
-//  - otherwise: a portable switch. VM_NEXT() jumps back to a dispatch
-//    label placed in front of the switch, so handler bodies are written
-//    identically for both modes (VM_NEXT() is always a goto, never a
-//    `break`/`continue`, and is therefore safe at any nesting depth).
+// Dispatch is computed-goto threading (the GCC/Clang &&label extension,
+// available on every compiler that builds these sources): every handler
+// ends by jumping through a label table indexed by the next opcode byte,
+// so the indirect branch is replicated per handler and the branch
+// predictor can learn per-opcode successor patterns. VM_NEXT() is always
+// a goto, never a `break`/`continue`, and is therefore safe at any
+// nesting depth.
 //
 // Safe points are hoisted out of the per-instruction path: fuel is
 // decremented only at calls (Call/CallAttach/ConstCall/TailCall) and at
@@ -574,12 +571,6 @@ Value VM::applyProcedure(Value Fn, const Value *Args, uint32_t NArgs,
 // cross-thread requestInterrupt() and profiler sample pokes promptly,
 // and the heap zeroing FuelLeft (FuelPoke) still forces the next site
 // to poll a budget trip.
-
-#if defined(CMARKS_THREADED) && (defined(__GNUC__) || defined(__clang__))
-#define CMK_THREADED_DISPATCH 1
-#else
-#define CMK_THREADED_DISPATCH 0
-#endif
 
 Value VM::run() {
   // Cached registers. Slots can be cached because the collector never moves
@@ -616,13 +607,8 @@ Value VM::run() {
     return Value::undefined();                                                 \
   } while (0)
 
-#if CMK_THREADED_DISPATCH
 #define VM_CASE(OPC) L_##OPC:
 #define VM_NEXT() goto *DispatchTable[Ins[Pc]]
-#else
-#define VM_CASE(OPC) case Op::OPC:
-#define VM_NEXT() goto L_Dispatch
-#endif
 
 // Hoisted safe point: taken at calls and backward branches. A trip is
 // delivered by injecting a call to the prelude's #%limit-raise at this
@@ -667,8 +653,8 @@ Value VM::run() {
 
   // Inlined-primitive bodies, shared between the standalone opcodes
   // (ADV = 1) and the LocalPrim superinstruction (ADV = 4). Every body
-  // ends in VM_NEXT() or VMERROR, so the macros are safe under either
-  // dispatcher and inside the LocalPrim inner switch.
+  // ends in VM_NEXT() or VMERROR, so the macros are safe inside the
+  // LocalPrim inner switch.
 
 #define VM_PRIM_ADD(ADV)                                                       \
   {                                                                            \
@@ -850,20 +836,19 @@ Value VM::run() {
     VM_NEXT();                                                                 \
   }
 
-#if CMK_THREADED_DISPATCH
   // One entry per opcode, in exact Op enum order.
   static const void *const DispatchTable[] = {
       &&L_PushConst,     &&L_PushLocal,     &&L_SetLocal,
       &&L_PushLocalBox,  &&L_SetLocalBox,   &&L_PushFree,
       &&L_PushFreeBox,   &&L_SetFreeBox,    &&L_BoxLocal,
       &&L_PushGlobal,    &&L_SetGlobal,     &&L_DefineGlobal,
-      &&L_Pop,           &&L_Dup,           &&L_MakeClosure,
+      &&L_Pop,           &&L_MakeClosure,
       &&L_Jump,          &&L_JumpIfFalse,   &&L_Frame,
       &&L_Call,          &&L_TailCall,      &&L_CallAttach,
       &&L_Return,        &&L_Reify,         &&L_AttachSet,
       &&L_AttachGet,     &&L_AttachConsume, &&L_MarksPush,
       &&L_MarksPop,      &&L_MarksSetTop,   &&L_MarksTop,
-      &&L_PushMarks,     &&L_MstkSet,       &&L_MstkPush,
+      &&L_MstkSet,       &&L_MstkPush,
       &&L_MstkPop,       &&L_Add,           &&L_Sub,
       &&L_Mul,           &&L_NumLt,         &&L_NumLe,
       &&L_NumGt,         &&L_NumGe,         &&L_NumEq,
@@ -880,10 +865,6 @@ Value VM::run() {
                     static_cast<size_t>(Op::OpCount),
                 "dispatch table must cover every opcode");
   VM_NEXT();
-#else
-L_Dispatch:
-  switch (static_cast<Op>(Ins[Pc])) {
-#endif
 
   VM_CASE(PushConst) {
     Slots[Sp++] = Consts[readU16(Ins + Pc + 1)];
@@ -954,12 +935,6 @@ L_Dispatch:
   }
   VM_CASE(Pop) {
     --Sp;
-    ++Pc;
-    VM_NEXT();
-  }
-  VM_CASE(Dup) {
-    Slots[Sp] = Slots[Sp - 1];
-    ++Sp;
     ++Pc;
     VM_NEXT();
   }
@@ -1209,11 +1184,6 @@ DoCall : {
   }
   VM_CASE(MarksTop) {
     Slots[Sp++] = car(Regs.Marks);
-    ++Pc;
-    VM_NEXT();
-  }
-  VM_CASE(PushMarks) {
-    Slots[Sp++] = Regs.Marks;
     ++Pc;
     VM_NEXT();
   }
@@ -1478,14 +1448,7 @@ DeliverExitTrip : {
   VM_NEXT();
 }
 
-#if !CMK_THREADED_DISPATCH
-  case Op::OpCount:
-    break;
-  }
-  CMK_UNREACHABLE("corrupt bytecode");
-#else
   CMK_UNREACHABLE("fell out of the threaded dispatch chain");
-#endif
 
 #undef SYNC
 #undef RELOAD

@@ -26,6 +26,16 @@ TEST(EngineApi, ReadErrorsAreReported) {
   EXPECT_NE(E.lastError().find("read error"), std::string::npos);
 }
 
+// Forms compile and run one at a time, so a later form's compile error
+// leaves the earlier forms' effects in place.
+TEST(EngineApi, EarlierFormsRunBeforeACompileError) {
+  SchemeEngine E;
+  E.eval("(define x 1) (set! x 2) (if)");
+  ASSERT_FALSE(E.ok());
+  EXPECT_NE(E.lastError().find("compile error"), std::string::npos);
+  EXPECT_EQ(E.evalToString("x"), "2");
+}
+
 TEST(EngineApi, ApplySchemeProcedureFromCpp) {
   SchemeEngine E;
   Value Fn = E.eval("(lambda (a b) (+ a (* 2 b)))");

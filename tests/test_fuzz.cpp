@@ -246,8 +246,8 @@ TEST(FuzzInvariants, ViolationsAreReported) {
 
 TEST(FuzzSmoke, FixedSeedCampaignAgrees) {
   // Full matrix including the heap-model oracle. CI additionally runs the
-  // larger `cmarks_fuzz` smoke (and the switch-dispatch leg covers the
-  // threaded-off axis); this bounded run keeps plain `ctest` meaningful.
+  // larger `cmarks_fuzz` smoke; this bounded run keeps plain `ctest`
+  // meaningful.
   HarnessOptions HO;
   FuzzHarness H(defaultLegs(/*IncludeOracle=*/true), HO);
   CampaignStats Stats;

@@ -449,13 +449,37 @@ TEST(PoolTest, FatalJobTriggersSupervisedWorkerRestart) {
   EXPECT_EQ(jobs(S, JobOutcome::Ok), 2u);
 
   // The restart is observable in the merged timeline too: a
-  // "worker-restart" span in the replacement incarnation's track.
+  // "worker-restart" span closing the retired incarnation's track.
   std::string Trace = Pool.traceJson();
   EXPECT_NE(Trace.find("\"name\":\"worker-restart\""), std::string::npos);
   EXPECT_NE(Trace.find("\"name\":\"worker-0\""), std::string::npos);
   EXPECT_NE(Trace.find("\"name\":\"worker-0/r1\""), std::string::npos);
   EXPECT_NE(Pool.metricsText().find("cmarks_pool_worker_restarts_total 1"),
             std::string::npos);
+}
+
+// The restart span closes the retired incarnation's ring, so the events of
+// the replacement's later jobs cannot wrap it out of a small ring.
+TEST(PoolTest, RestartSpanSurvivesReplacementRingWraparound) {
+  PoolOptions O;
+  O.Workers = 1;
+  O.TraceCapacity = 64;
+  EnginePool Pool(O);
+  JobResult R = Pool.submit(reserveBurner(), fatalLimits()).get();
+  ASSERT_EQ(R.Outcome, JobOutcome::TrippedHeap);
+  for (int I = 0; I < 4; ++I) {
+    JobResult After = Pool.submit("(let loop ((i 0))"
+                                  "  (if (= i 100) i"
+                                  "      (loop (with-continuation-mark 'k i"
+                                  "              (+ i 1)))))")
+                          .get();
+    ASSERT_TRUE(After.Ok) << After.Error;
+  }
+  Pool.shutdown();
+  EXPECT_EQ(Pool.stats().WorkerRestarts, 1u);
+  std::string Trace = Pool.traceJson();
+  EXPECT_NE(Trace.find("\"name\":\"worker-restart\""), std::string::npos);
+  EXPECT_GT(Pool.telemetry().TraceDropped, 0u) << "the ring never wrapped";
 }
 
 TEST(PoolTest, WorkerRestartDropsEngineSegmentPool) {

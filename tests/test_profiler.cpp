@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
 
@@ -248,6 +249,31 @@ TEST(ProfilerTest, RuntimeStatsReportsTraceDrops) {
       "(cdr (assq 'trace-events-dropped (runtime-stats)))");
   ASSERT_TRUE(E.ok()) << E.lastError();
   EXPECT_NE(Dropped, "0");
+}
+
+// A write that fails only when the file is flushed on close (a full disk)
+// is a failure of every file export, not a success with a truncated file.
+TEST(ProfilerTest, DumpsToAFullDeviceReportFailure) {
+  std::FILE *Full = std::fopen("/dev/full", "w");
+  if (!Full)
+    GTEST_SKIP() << "/dev/full is not writable";
+  std::fclose(Full);
+  SchemeEngine E;
+  E.evalOrDie(NamedLoop);
+  definePoke(E);
+  E.startTrace();
+  E.evalOrDie("(+ 0 (with-continuation-mark 'k 1 (car '(1))))");
+  E.stopTrace();
+  E.startProfiler(/*Hz=*/1);
+  E.evalOrDie("(begin (test-poke!) (hot-loop 1000 0))");
+  E.stopProfiler();
+  ASSERT_GT(E.trace().size(), 0u);
+  ASSERT_EQ(E.profiler().sampleCount(), 1u);
+
+  EXPECT_FALSE(E.dumpTrace("/dev/full"));
+  EXPECT_FALSE(E.dumpProfile("/dev/full"));
+  EXPECT_EQ(E.evalToString("(runtime-trace-dump \"/dev/full\")"), "#f");
+  EXPECT_EQ(E.evalToString("(profiler-dump \"/dev/full\")"), "#f");
 }
 
 } // namespace

@@ -3,8 +3,8 @@
 /// \file
 /// Trace-subsystem correctness: the exact event sequences the paper's
 /// compilation strategies predict for each attachment category (7.2),
-/// ring-buffer wraparound behaviour, tier gating, and the Chrome
-/// trace-event JSON export invariants.
+/// ring-buffer wraparound behaviour, the runtime recording gate, and the
+/// Chrome trace-event JSON export invariants.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -247,7 +247,7 @@ TEST(TraceRing, ExportClosesUnfinishedSpans) {
   EXPECT_LT(B, End);
 }
 
-// --- Tier gating -----------------------------------------------------------
+// --- Recording gate --------------------------------------------------------
 
 // With tracing never started, record sites must contribute nothing.
 TEST(TraceTiers, StoppedTracingRecordsNothing) {
@@ -266,24 +266,22 @@ TEST(TraceTiers, StopFreezesTheBuffer) {
   EXPECT_EQ(E.trace().total(), Frozen);
 }
 
-// Detail-tier events exist exactly when the build compiled them in.
-TEST(TraceTiers, DetailTierMatchesBuildConfig) {
+// The marks layer's per-update and per-lookup events are compiled into
+// every build, behind the same runtime gate as every other event.
+TEST(TraceTiers, MarkLayerEventsAreRecorded) {
   SchemeEngine E;
   auto Kinds = tracedKinds(
       E, "",
       "(with-continuation-mark 'a 1"
       "  (+ 0 (with-continuation-mark 'b 2"
       "         (continuation-mark-set-first #f 'a))))");
-  uint64_t Detail = countKind(Kinds, TraceEv::MarkFrameCreate) +
-                    countKind(Kinds, TraceEv::MarkFrameExtend) +
-                    countKind(Kinds, TraceEv::MarkFrameRebind) +
-                    countKind(Kinds, TraceEv::MarkCacheHit) +
-                    countKind(Kinds, TraceEv::MarkCacheInstall) +
-                    countKind(Kinds, TraceEv::MarkSetCapture);
-  if (traceDetailEnabled())
-    EXPECT_GT(Detail, 0u);
-  else
-    EXPECT_EQ(Detail, 0u);
+  uint64_t MarkLayer = countKind(Kinds, TraceEv::MarkFrameCreate) +
+                       countKind(Kinds, TraceEv::MarkFrameExtend) +
+                       countKind(Kinds, TraceEv::MarkFrameRebind) +
+                       countKind(Kinds, TraceEv::MarkCacheHit) +
+                       countKind(Kinds, TraceEv::MarkCacheInstall) +
+                       countKind(Kinds, TraceEv::MarkSetCapture);
+  EXPECT_GT(MarkLayer, 0u);
 }
 
 // --- Export and Scheme surface ---------------------------------------------
@@ -297,6 +295,22 @@ TEST(TraceExport, JsonCarriesSchemaAndEvents) {
   EXPECT_NE(Json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(Json.find("cmarks-trace-v1"), std::string::npos);
   EXPECT_NE(Json.find("\"wcm\""), std::string::npos);
+}
+
+// Labels reach the JSON as escaped string literals, in the single-engine
+// and the merged export alike.
+TEST(TraceExport, LabelsAreEscaped) {
+  TraceBuffer T;
+  T.start();
+  const char Label[] = "a\"b\\c\001d";
+  T.record(TraceEv::SpanBegin, Label, sizeof(Label) - 1);
+  T.record(TraceEv::SpanEnd);
+  T.stop();
+  const char *Escaped = "\"a\\\"b\\\\c\\u0001d\"";
+  EXPECT_NE(T.toJson().find(Escaped), std::string::npos) << T.toJson();
+  std::string Merged = mergedTraceJson({&T}, {"w\"1"});
+  EXPECT_NE(Merged.find(Escaped), std::string::npos) << Merged;
+  EXPECT_NE(Merged.find("\"w\\\"1\""), std::string::npos) << Merged;
 }
 
 TEST(TraceExport, SchemePrimitivesControlTheBuffer) {

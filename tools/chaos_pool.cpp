@@ -372,15 +372,10 @@ int main(int Argc, char **Argv) {
     if (!C.TraceFile.empty() && !Pool.dumpTrace(C.TraceFile))
       std::fprintf(stderr, "chaos_pool: cannot write trace to %s\n",
                    C.TraceFile.c_str());
-    if (!C.MetricsFile.empty()) {
-      std::string Body = Pool.metricsJson();
-      std::FILE *F = std::fopen(C.MetricsFile.c_str(), "w");
-      if (!F || std::fwrite(Body.data(), 1, Body.size(), F) != Body.size())
-        std::fprintf(stderr, "chaos_pool: cannot write metrics to %s\n",
-                     C.MetricsFile.c_str());
-      if (F)
-        std::fclose(F);
-    }
+    if (!C.MetricsFile.empty() &&
+        !writeFile(C.MetricsFile, Pool.metricsJson()))
+      std::fprintf(stderr, "chaos_pool: cannot write metrics to %s\n",
+                   C.MetricsFile.c_str());
 
     // --- Invariant checks (while the trace is still reachable) ----------
     int Failures = 0;

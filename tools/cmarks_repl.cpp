@@ -383,13 +383,10 @@ int main(int Argc, char **Argv) {
       bool Prom = Opts.MetricsFile.size() >= 5 &&
                   Opts.MetricsFile.compare(Opts.MetricsFile.size() - 5, 5,
                                            ".prom") == 0;
-      std::string Body = Prom ? Engine.metricsText() : Engine.metricsJson();
-      std::FILE *F = std::fopen(Opts.MetricsFile.c_str(), "w");
-      if (!F || std::fwrite(Body.data(), 1, Body.size(), F) != Body.size())
+      if (!writeFile(Opts.MetricsFile,
+                     Prom ? Engine.metricsText() : Engine.metricsJson()))
         std::fprintf(stderr, "cannot write metrics to %s\n",
                      Opts.MetricsFile.c_str());
-      if (F)
-        std::fclose(F);
     }
     if (Opts.ShowStats) {
       printStatsTable(Engine.stats(), stderr);

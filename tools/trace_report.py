@@ -44,7 +44,7 @@ def check(doc, path):
     other = doc.get("otherData")
     if not isinstance(other, dict) or other.get("schema") != SCHEMA:
         fail(f"{path}: otherData.schema is not {SCHEMA!r}")
-    for key in ("events", "dropped", "detailTier"):
+    for key in ("events", "dropped"):
         if key not in other:
             fail(f"{path}: otherData lacks {key!r}")
     events = doc.get("traceEvents")
@@ -92,7 +92,7 @@ def check(doc, path):
     n_real = sum(1 for e in events if e.get("ph") != "M")
     n_tids = len({e.get("tid") for e in events})
     print(f"{path}: OK ({n_real} events, {dropped} dropped, {n_tids} "
-          f"thread(s), detail tier {'on' if other['detailTier'] else 'off'})")
+          "thread(s))")
 
 
 def job_spans(events):
@@ -136,8 +136,7 @@ def report(doc, path):
     other = doc.get("otherData", {})
     n_tids = len({e.get("tid", 1) for e in events})
     print(f"{path}: {len(events)} events "
-          f"({other.get('dropped', '?')} dropped, {n_tids} thread(s), "
-          f"detail tier {'on' if other.get('detailTier') else 'off'})")
+          f"({other.get('dropped', '?')} dropped, {n_tids} thread(s))")
 
     counts = Counter()
     for e in events:
