@@ -25,7 +25,7 @@ void promoteOneShots(VM &M, Value K); // vm/callcc.cpp
 
 namespace {
 
-Value promptTagType(VM &M) { return M.heap().intern("#%prompt-tag"); }
+Value promptTagType(VM &M) { return M.wellKnown().PromptTag; }
 
 bool isPromptTag(VM &M, Value V) {
   return V.isRecord() && asRecord(V)->TypeTag == promptTagType(M);
@@ -41,7 +41,7 @@ Value nativeMakePromptTag(VM &M, Value *Args, uint32_t NArgs) {
 }
 
 Value defaultTag(VM &M) {
-  Value Tag = M.getGlobal("#%default-prompt-tag");
+  Value Tag = asPair(M.globalCell(M.wellKnown().DefaultPromptTag))->Car;
   CMK_CHECK(Tag.isRecord(), "default prompt tag not installed");
   return Tag;
 }
@@ -296,7 +296,7 @@ void cmk::installPromptPrimitives(VM &M) {
   M.defineNative("#%composite-boundary-winders",
                  nativeCompositeBoundaryWinders, 1, 1);
 
-  Value Tag = M.heap().makeRecord(M.heap().intern("#%prompt-tag"), 1,
+  Value Tag = M.heap().makeRecord(promptTagType(M), 1,
                                   M.heap().intern("default"));
   M.setGlobal("#%default-prompt-tag", Tag);
 }

@@ -19,8 +19,8 @@ using namespace cmk;
 
 namespace {
 
-Value markSetTag(VM &M) { return M.heap().intern("#%mark-set"); }
-Value markIterTag(VM &M) { return M.heap().intern("#%mark-iterator"); }
+Value markSetTag(VM &M) { return M.wellKnown().MarkSet; }
+Value markIterTag(VM &M) { return M.wellKnown().MarkIterator; }
 
 bool isMarkSet(VM &M, Value V) {
   return V.isRecord() && asRecord(V)->TypeTag == markSetTag(M);

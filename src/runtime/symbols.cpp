@@ -39,4 +39,11 @@ void WellKnown::init(Heap &H) {
   WithContinuationMark = H.intern("with-continuation-mark");
   QuoteDot = H.intern(".");
   Ellipsis = H.intern("...");
+  PromptTag = H.intern("#%prompt-tag");
+  DefaultPromptTag = H.intern("#%default-prompt-tag");
+  MarkSet = H.intern("#%mark-set");
+  MarkIterator = H.intern("#%mark-iterator");
+  Timeout = H.intern("timeout");
+  Idle = H.intern("idle");
+  Retire = H.intern("retire");
 }

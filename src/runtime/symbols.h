@@ -1,9 +1,11 @@
 //===- runtime/symbols.h - Pre-interned well-known symbols ----*- C++ -*-===//
 ///
 /// \file
-/// A table of symbols the reader, expander, and compiler consult on hot
-/// paths (core-form keywords, primitive names). Interning them once at
-/// startup turns keyword recognition into pointer comparison.
+/// A table of symbols the reader, expander, compiler, and runtime consult
+/// on hot paths (core-form keywords, primitive names, record type tags,
+/// fiber statuses). Interning them once at startup turns keyword
+/// recognition into pointer comparison and keeps interning off every
+/// prompt, mark-set, and slice operation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +35,10 @@ struct WellKnown {
   Value WithContinuationMark;
   // Misc runtime names.
   Value QuoteDot, Ellipsis;
+  // Record type tags and the global read on every prompt operation.
+  Value PromptTag, DefaultPromptTag, MarkSet, MarkIterator;
+  // Fiber slice statuses handed back to the host once per slice.
+  Value Timeout, Idle, Retire;
 };
 
 } // namespace cmk

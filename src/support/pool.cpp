@@ -435,7 +435,7 @@ void EnginePool::workerMain(unsigned Idx) {
 
     // Everything parked: sleep until the earliest timer or work for a free
     // slot, in <=10ms chunks so interrupts stay responsive.
-    if (Engine->fiberHasRunnable() || Status != Engine->heap().intern("idle"))
+    if (Engine->fiberHasRunnable() || Status != Engine->vm().wellKnown().Idle)
       continue;
     uint64_t TimerNs = Engine->fiberNextTimerDelayNs();
     if (Engine->fiberInterruptPending() && TimerNs != 0) {

@@ -220,9 +220,9 @@ Value FiberScheduler::spawnJob(VM &M, Value Thunk, Value ArgsList,
 void FiberScheduler::pumpTimers(VM &M, uint64_t Now) {
   if (Timers.empty())
     return;
-  // Interned up front: popping an entry unroots its fiber, so no
-  // allocation may happen between pop and requeue.
-  Value TimeoutSym = M.heap().intern("timeout");
+  // Popping an entry unroots its fiber, so no allocation may happen
+  // between pop and requeue; the status symbol is interned at startup.
+  Value TimeoutSym = M.wellKnown().Timeout;
   while (!Timers.empty()) {
     const TimerEntry &Top = Timers.front();
     FiberObj *F = asFiber(Top.F);
@@ -351,7 +351,7 @@ bool FiberScheduler::dispatchNext(VM &M) {
       return true;
     }
     if (CoopPool) {
-      endSlice(M, M.heap().intern("idle"));
+      endSlice(M, M.wellKnown().Idle);
       return true;
     }
     if (!Timers.empty()) {
@@ -479,7 +479,7 @@ void FiberScheduler::finishCurrent(VM &M, Value FV, bool Ok, Value Result,
     // Retire the slice so the host collects the finished job promptly
     // (latency) and can admit a queued one into the freed fiber slot.
     DoneJobs.push_back(FRoot.get());
-    endSlice(M, M.heap().intern("retire"));
+    endSlice(M, M.wellKnown().Retire);
     return;
   }
   if (!dispatchNext(M)) {
@@ -519,8 +519,8 @@ Value FiberScheduler::enterSlice(VM &M) {
   SliceStartNs = nowNanos();
   pumpTimers(M, nowNanos());
   if (RunQueue.empty())
-    return M.heap().intern("idle"); // Plain return: the slice closure
-                                    // just hands it back to the host.
+    return M.wellKnown().Idle; // Plain return: the slice closure just
+                               // hands it back to the host.
   dispatchNext(M); // Switches in (sets NativeJumped); cannot deadlock.
   return Value::voidValue();
 }

@@ -170,17 +170,36 @@ Value cmk::typeError(VM &M, const char *Who, const char *Expected, Value Got) {
                       writeToString(Got));
 }
 
-bool cmk::checkArity(VM &M, const char *Who, uint32_t NArgs, int32_t Min,
-                     int32_t Max) {
-  if (static_cast<int32_t>(NArgs) < Min ||
-      (Max >= 0 && static_cast<int32_t>(NArgs) > Max)) {
-    M.raiseError(std::string(Who) + ": wrong number of arguments");
-    return false;
-  }
-  return true;
+namespace {
+
+/// The callee's name for an arity error. Called only once a check failed:
+/// formatting it allocates, and a call that fits must not pay for that.
+/// Returned by value: engines run concurrently (support/pool.h), so a
+/// function-local static buffer here would be a cross-engine data race.
+std::string procName(Value Fn) {
+  Value Name = Value::False();
+  if (Fn.isClosure())
+    Name = asCode(asClosure(Fn)->Code)->Name;
+  else if (Fn.isNative())
+    Name = asNative(Fn)->Name;
+  if (!Name.isSymbol())
+    return "procedure";
+  return displayToString(Name);
 }
 
-namespace {
+/// True when native \p N accepts \p NArgs arguments.
+inline bool arityFits(const NativeObj *N, uint32_t NArgs) {
+  return static_cast<int32_t>(NArgs) >= N->MinArgs &&
+         (N->MaxArgs < 0 || static_cast<int32_t>(NArgs) <= N->MaxArgs);
+}
+
+/// Checks the argument count of a call to native \p Fn; raises otherwise.
+bool checkArity(VM &M, Value Fn, uint32_t NArgs) {
+  if (arityFits(asNative(Fn), NArgs))
+    return true;
+  M.raiseError(procName(Fn) + ": wrong number of arguments");
+  return false;
+}
 
 /// Moves a frame under construction at [Hdr, Sp) onto a fresh segment when
 /// it does not fit; the frames below Hdr become a captured continuation.
@@ -218,12 +237,12 @@ void overflowMovePending(VM &M, uint32_t &Hdr, uint32_t CalleeNeed,
 /// Collects surplus arguments into a rest list. Args live in stack slots
 /// [ArgBase, ArgBase+NArgs); afterwards the formals occupy
 /// [ArgBase, ArgBase+NumParams).
-bool bindArgs(VM &M, CodeObj *Code, uint32_t ArgBase, uint32_t NArgs,
-              const char *Name) {
+bool bindArgs(VM &M, Value Fn, uint32_t ArgBase, uint32_t NArgs) {
+  CodeObj *Code = asCode(asClosure(Fn)->Code);
   bool HasRest = (Code->Flags & codeflags::HasRestArg) != 0;
   uint32_t Required = HasRest ? Code->NumArgs - 1 : Code->NumArgs;
   if (HasRest ? NArgs < Required : NArgs != Required) {
-    M.raiseError(std::string(Name) + ": wrong number of arguments (got " +
+    M.raiseError(procName(Fn) + ": wrong number of arguments (got " +
                  std::to_string(NArgs) + ")");
     return false;
   }
@@ -260,19 +279,6 @@ const char *tripMessage(TripKind T) {
     break;
   }
   return "limit trip";
-}
-
-/// Returned by value: engines run concurrently (support/pool.h), so a
-/// function-local static buffer here would be a cross-engine data race.
-std::string procName(Value Fn) {
-  Value Name = Value::False();
-  if (Fn.isClosure())
-    Name = asCode(asClosure(Fn)->Code)->Name;
-  else if (Fn.isNative())
-    Name = asNative(Fn)->Name;
-  if (!Name.isSymbol())
-    return "procedure";
-  return displayToString(Name);
 }
 
 } // namespace
@@ -465,8 +471,7 @@ Value VM::applyProcedure(Value Fn, const Value *Args, uint32_t NArgs,
       break;
     if (F.isNative()) {
       NativeObj *N = asNative(F);
-      if (!checkArity(*this, procName(F).c_str(), NArgs, N->MinArgs,
-                      N->MaxArgs)) {
+      if (!checkArity(*this, F, NArgs)) {
         Ok = false;
         return Value::undefined();
       }
@@ -508,8 +513,7 @@ Value VM::applyProcedure(Value Fn, const Value *Args, uint32_t NArgs,
                    BaseSlots ? std::max(BaseSlots, FrameHeaderSlots + NArgs +
                                                        Code->FrameSize)
                              : Cfg.SegmentSlots);
-  if (!bindArgs(*this, Code, FrameHeaderSlots, NArgs,
-                procName(F).c_str())) {
+  if (!bindArgs(*this, F, FrameHeaderSlots, NArgs)) {
     Ok = false;
     return Value::undefined();
   }
@@ -1031,8 +1035,26 @@ DoCall : {
     }
   }
 
-  SYNC();
-  Dispatch D = dispatchSlowCall(Hdr, NArgs);
+  // Fast path: a fitting native call. Its frame is logically popped while
+  // it runs; a plain value returned away from a stack base is pushed here,
+  // and every other outcome goes through finishNativeCall.
+  Dispatch D;
+  if (Fn.isNative() && arityFits(asNative(Fn), NArgs)) {
+    Regs.Pc = Pc;
+    Regs.Fp = Fp;
+    Regs.Sp = Hdr;
+    NativeJumped = false;
+    Value Res = asNative(Fn)->Fn(*this, Slots + Hdr + FrameHeaderSlots, NArgs);
+    if (!Failed && !PendingCall && !NativeJumped && Regs.Sp != Regs.Base) {
+      RELOAD();
+      Slots[Sp++] = Res;
+      VM_NEXT();
+    }
+    D = finishNativeCall(Res);
+  } else {
+    SYNC();
+    D = dispatchSlowCall(Hdr, NArgs);
+  }
   if (Failed)
     return Value::undefined();
   if (D == Dispatch::Halt) {
@@ -1613,6 +1635,19 @@ bool VM::deliverTripFromNative() {
   return true;
 }
 
+VM::Dispatch VM::finishNativeCall(Value Res) {
+  if (Failed)
+    return Dispatch::Done;
+  if (PendingCall) {
+    PendingCall = false;
+    uint32_t Hdr = buildPendingFrame(*this);
+    return dispatchSlowCall(Hdr, static_cast<uint32_t>(PendingArgs.size()));
+  }
+  if (NativeJumped)
+    return Dispatch::Done; // applyContinuation placed the result.
+  return deliverNativeResult(*this, Res);
+}
+
 VM::Dispatch VM::dispatchSlowCall(uint32_t Hdr, uint32_t NArgs) {
   for (;;) {
     Value *Slots = asStackSeg(Regs.Seg)->Slots;
@@ -1620,8 +1655,7 @@ VM::Dispatch VM::dispatchSlowCall(uint32_t Hdr, uint32_t NArgs) {
 
     if (Fn.isClosure()) {
       CodeObj *Code = asCode(asClosure(Fn)->Code);
-      if (!bindArgs(*this, Code, Hdr + FrameHeaderSlots, NArgs,
-                    procName(Fn).c_str()))
+      if (!bindArgs(*this, Fn, Hdr + FrameHeaderSlots, NArgs))
         return Dispatch::Done;
       Slots = asStackSeg(Regs.Seg)->Slots;
       Regs.Sp = Hdr + FrameHeaderSlots + Code->NumArgs;
@@ -1677,22 +1711,17 @@ VM::Dispatch VM::dispatchSlowCall(uint32_t Hdr, uint32_t NArgs) {
     if (Fn.isNative()) {
       NativeObj *N = asNative(Fn);
       Regs.Sp = Hdr; // The call frame is logically popped.
-      if (!checkArity(*this, procName(Fn).c_str(), NArgs, N->MinArgs,
-                      N->MaxArgs))
+      if (!checkArity(*this, Fn, NArgs))
         return Dispatch::Done;
       NativeJumped = false;
       Value Res = N->Fn(*this, Slots + Hdr + FrameHeaderSlots, NArgs);
-      if (Failed)
-        return Dispatch::Done;
-      if (PendingCall) {
-        PendingCall = false;
-        Hdr = buildPendingFrame(*this);
-        NArgs = static_cast<uint32_t>(PendingArgs.size());
-        continue;
-      }
-      if (NativeJumped)
-        return Dispatch::Done; // applyContinuation placed the result.
-      return deliverNativeResult(*this, Res);
+      if (Failed || !PendingCall)
+        return finishNativeCall(Res);
+      // A chain of scheduled calls stays a loop here.
+      PendingCall = false;
+      Hdr = buildPendingFrame(*this);
+      NArgs = static_cast<uint32_t>(PendingArgs.size());
+      continue;
     }
 
     if (Fn.isCont()) {
@@ -1742,8 +1771,7 @@ VM::Dispatch VM::dispatchSlowTail(uint32_t NArgs) {
 
     if (Fn.isClosure()) {
       CodeObj *Code = asCode(asClosure(Fn)->Code);
-      if (!bindArgs(*this, Code, Fp + FrameHeaderSlots, NArgs,
-                    procName(Fn).c_str()))
+      if (!bindArgs(*this, Fn, Fp + FrameHeaderSlots, NArgs))
         return Dispatch::Done;
       Slots = asStackSeg(Regs.Seg)->Slots;
       bool TailOverflow =
@@ -1781,8 +1809,7 @@ VM::Dispatch VM::dispatchSlowTail(uint32_t NArgs) {
     if (Fn.isNative()) {
       NativeObj *N = asNative(Fn);
       Regs.Sp = Fp + FrameHeaderSlots + NArgs;
-      if (!checkArity(*this, procName(Fn).c_str(), NArgs, N->MinArgs,
-                      N->MaxArgs))
+      if (!checkArity(*this, Fn, NArgs))
         return Dispatch::Done;
       NativeTailCall = true;
       NativeJumped = false;

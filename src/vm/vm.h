@@ -303,6 +303,13 @@ public:
   /// when the whole run completed (final value at slot(Regs.Sp - 1)).
   Dispatch dispatchSlowCall(uint32_t Hdr, uint32_t NArgs);
 
+  /// Finishes a non-tail native call that returned \p Res, its frame
+  /// popped: leaves a failure or a continuation jump in place, dispatches
+  /// a scheduled call, or delivers the value (through underflow when the
+  /// call sat at a stack base). Shared by run()'s inline native path and
+  /// dispatchSlowCall.
+  Dispatch finishNativeCall(Value Res);
+
   /// Same for tail calls: callee and args already occupy the current frame.
   Dispatch dispatchSlowTail(uint32_t NArgs);
 
@@ -421,10 +428,6 @@ void installParameterPrimitives(VM &M);
 
 /// Reports a type error like "car: expected pair, got 5".
 Value typeError(VM &M, const char *Who, const char *Expected, Value Got);
-
-/// Checks the argument count; raises otherwise.
-bool checkArity(VM &M, const char *Who, uint32_t NArgs, int32_t Min,
-                int32_t Max);
 
 } // namespace cmk
 

@@ -218,6 +218,80 @@ TEST_F(VmCore, Errors) {
   expectEval(E, "(+ 1 1)", "2");
 }
 
+TEST_F(VmCore, ArityErrorsNameTheCallee) {
+  // Every call site that checks an argument count, with the full message:
+  // closures name themselves with the count they got, natives without it,
+  // and a callee with no name is "procedure".
+  const struct {
+    const char *Src, *Msg;
+  } Cases[] = {
+      {"(define (f x) x) (+ 1 (f 1 2))",
+       "f: wrong number of arguments (got 2)"},
+      {"(define g (list (lambda (x) x))) (+ 1 ((car g) 1 2))",
+       "procedure: wrong number of arguments (got 2)"},
+      {"(define (f x) x) (define (t) (f 1 2)) (t)",
+       "f: wrong number of arguments (got 2)"},
+      {"(define g (list (lambda (x) x))) (define (t) ((car g) 1 2)) (t)",
+       "procedure: wrong number of arguments (got 2)"},
+      {"(+ 1 (string-length \"a\" \"b\"))",
+       "string-length: wrong number of arguments"},
+      {"(define (t) (string-length \"a\" \"b\")) (t)",
+       "string-length: wrong number of arguments"},
+      {"(+ 1 (apply car '(1 2)))", "car: wrong number of arguments"},
+  };
+  for (const auto &C : Cases) {
+    E.eval(C.Src);
+    EXPECT_FALSE(E.ok()) << C.Src;
+    EXPECT_EQ(E.lastError(), C.Msg) << C.Src;
+  }
+
+  // SchemeEngine::apply checks the count before entering the loop.
+  Value F = E.eval("(define (two a b) a) two");
+  ASSERT_TRUE(E.ok()) << E.lastError();
+  E.protect(F);
+  E.apply(F, {Value::fixnum(1)});
+  EXPECT_EQ(E.lastError(), "two: wrong number of arguments (got 1)");
+  E.apply(E.vm().getGlobal("car"), {});
+  EXPECT_EQ(E.lastError(), "car: wrong number of arguments");
+  expectEval(E, "(+ 1 1)", "2");
+}
+
+TEST_F(VmCore, NativeCallsLeavingTheFastPath) {
+  // Non-tail native calls whose outcome is not a plain value at the
+  // resume point: a scheduled tail call, a continuation jump (with and
+  // without a scheduled call), and a native entered by call-attach that
+  // returns through underflow.
+  expectEval(E, "(+ 1 (apply + '(1 2)))", "4");
+  expectEval(E, "(+ 1 (apply apply (list + (list 1 2))))", "4");
+  expectEval(E,
+             "(call-with-continuation-prompt"
+             "  (lambda () (+ 10 (#%abort-to-prompt"
+             "                     (default-continuation-prompt-tag) 41)))"
+             "  (default-continuation-prompt-tag)"
+             "  (lambda (v) (+ v 1)))",
+             "42");
+  expectEval(E,
+             "(+ 1 (with-continuation-mark 'k 7"
+             "       (continuation-mark-set-first #f 'k)))",
+             "8");
+  // A jump with nothing scheduled: once both fibers have parked, each
+  // non-tail yield resumes the other's capture.
+  expectEval(E,
+             "(define (ticks n)"
+             "  (let loop ([i 0] [acc '()])"
+             "    (if (= i n) (reverse acc)"
+             "        (loop (+ i 1) (cons (+ i (begin (#%fiber-yield) 0))"
+             "                            acc)))))"
+             "(define f1 (spawn (lambda () (ticks 3))))"
+             "(define f2 (spawn (lambda () (ticks 3))))"
+             "(list (fiber-join f1) (fiber-join f2))",
+             "((0 1 2) (0 1 2))");
+  // A failing native leaves the engine usable.
+  expectError(E, "(+ 1 (string-length 5))",
+              "string-length: expected string, got 5");
+  expectEval(E, "(+ 1 (string-length \"ab\"))", "3");
+}
+
 TEST_F(VmCore, DefineSyntaxRule) {
   expectEval(E, "(define-syntax-rule (swap-call f a b) (f b a))"
                 "(swap-call - 1 10)",

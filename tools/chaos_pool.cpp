@@ -298,7 +298,10 @@ int main(int Argc, char **Argv) {
   PO.QueueCapacity = 128;
   PO.BreakerThreshold = C.Breaker;
   PO.QueueWaitBudgetMs = C.QueueWaitBudgetMs;
-  PO.TraceCapacity = 8192;
+  // A --smoke run records 130-140k events across all workers, and one
+  // worker may run most of the jobs; rings that each hold a whole run keep
+  // every event in the merged trace (the failure artifact).
+  PO.TraceCapacity = 2 * TraceBuffer::DefaultCapacity;
   PO.EnableFibers = C.Fibers;
   uint64_t T0 = nowNanos();
   uint64_t Restarts = 0, BreakerOpens = 0, Retries = 0;

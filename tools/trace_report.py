@@ -10,7 +10,9 @@ renders as tid N+1, and serving jobs appear as named "job-<id>" spans.
   trace_report.py FILE            per-event counts and span durations
   trace_report.py --check FILE    validate the schema; exit 0/1 (CI).
                                   Warns on stderr when the ring dropped
-                                  events (the export is truncated).
+                                  events (the export is truncated);
+                                  with --max-dropped N, more than N
+                                  dropped events fail the check.
   trace_report.py --jobs FILE     per-job table: id, worker, start, wall
 """
 import argparse
@@ -37,8 +39,9 @@ def load(path):
         fail(f"{path} is not valid JSON: {e}")
 
 
-def check(doc, path):
-    """Validates the cmarks-trace-v1 shape; exits non-zero on violation."""
+def check(doc, path, max_dropped=None):
+    """Validates the cmarks-trace-v1 shape; exits non-zero on violation,
+    or when more than max_dropped events were dropped (if given)."""
     if not isinstance(doc, dict):
         fail(f"{path}: top level must be an object")
     other = doc.get("otherData")
@@ -85,6 +88,9 @@ def check(doc, path):
     dropped = other["dropped"]
     if not isinstance(dropped, int) or dropped < 0:
         fail(f"{path}: otherData.dropped is not a count")
+    if max_dropped is not None and dropped > max_dropped:
+        fail(f"{path}: ring dropped {dropped} event(s), more than "
+             f"--max-dropped {max_dropped}")
     if dropped > 0:
         print(f"trace_report: WARNING: {path}: ring dropped {dropped} "
               f"event(s); the export holds only the newest window "
@@ -170,12 +176,17 @@ def main():
     ap.add_argument("file", help="trace JSON file")
     ap.add_argument("--check", action="store_true",
                     help="validate the schema instead of summarizing")
+    ap.add_argument("--max-dropped", type=int, metavar="N",
+                    help="with --check, fail when more than N events "
+                         "were dropped (default: only warn)")
     ap.add_argument("--jobs", action="store_true",
                     help="per-job span table (EnginePool traces)")
     args = ap.parse_args()
     doc = load(args.file)
+    if args.max_dropped is not None and not args.check:
+        ap.error("--max-dropped needs --check")
     if args.check:
-        check(doc, args.file)
+        check(doc, args.file, args.max_dropped)
     elif args.jobs:
         report_jobs(doc, args.file)
     else:
