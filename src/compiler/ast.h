@@ -198,34 +198,11 @@ template <typename T> T *nodeCast(Node *N, NodeKind K) {
   return static_cast<T *>(N);
 }
 
-inline ConstNode *asConst(Node *N) {
-  return nodeCast<ConstNode>(N, NodeKind::Const);
-}
-inline LocalRefNode *asLocalRef(Node *N) {
-  return nodeCast<LocalRefNode>(N, NodeKind::LocalRef);
-}
 inline GlobalRefNode *asGlobalRef(Node *N) {
   return nodeCast<GlobalRefNode>(N, NodeKind::GlobalRef);
 }
-inline LocalSetNode *asLocalSet(Node *N) {
-  return nodeCast<LocalSetNode>(N, NodeKind::LocalSet);
-}
-inline GlobalSetNode *asGlobalSet(Node *N) {
-  return nodeCast<GlobalSetNode>(N, NodeKind::GlobalSet);
-}
-inline IfNode *asIf(Node *N) { return nodeCast<IfNode>(N, NodeKind::If); }
-inline BeginNode *asBegin(Node *N) {
-  return nodeCast<BeginNode>(N, NodeKind::Begin);
-}
-inline LetNode *asLet(Node *N) { return nodeCast<LetNode>(N, NodeKind::Let); }
 inline LambdaNode *asLambda(Node *N) {
   return nodeCast<LambdaNode>(N, NodeKind::Lambda);
-}
-inline CallNode *asCall(Node *N) {
-  return nodeCast<CallNode>(N, NodeKind::Call);
-}
-inline AttachNode *asAttach(Node *N) {
-  return nodeCast<AttachNode>(N, NodeKind::Attach);
 }
 
 } // namespace cmk

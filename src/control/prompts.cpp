@@ -141,10 +141,7 @@ Value nativeCallWithComposable(VM &M, Value *Args, uint32_t NArgs) {
   GCRoot Proc(M.heap(), Args[0]);
   GCRoot Tag(M.heap(), NArgs > 1 ? Args[1] : defaultTag(M));
 
-  if (M.NativeTailCall)
-    M.reifyCurrentFrame();
-  else
-    M.reifyAtSp(ContShot::Opportunistic); // Promoted with the chain below.
+  M.reifyNativeCall(M.NativeTailCall); // Promoted with the chain below.
 
   // Collect the records between here and the prompt (exclusive).
   RootedValues Records(M.heap());
@@ -233,10 +230,7 @@ void cmk::applyCompositeCont(VM &M, Value KV, Value Arg, bool TailMode) {
 
   // Reify the current point so the spliced records sit on a record
   // boundary.
-  if (TailMode)
-    M.reifyCurrentFrame();
-  else
-    M.reifyAtSp(ContShot::Opportunistic);
+  M.reifyNativeCall(TailMode);
 
   GCRoot Boundary(H, asCompositeCont(KRoot.get())->BoundaryMarks);
   GCRoot CurMarks(H, M.Regs.Marks);

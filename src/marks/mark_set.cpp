@@ -271,18 +271,13 @@ Value nativeCallWithImmediateMark(VM &M, Value *Args, uint32_t NArgs) {
         }
       }
     }
-  } else if (M.NativeTailCall) {
+  } else if (M.NativeTailCall &&
+             M.frameHasAttachment(asStackSeg(M.Regs.Seg)->Slots, M.Regs.Fp) &&
+             car(M.Regs.Marks).isMarkFrame()) {
     // The conceptual frame is the caller's frame (tail call).
-    StackSegObj *S = asStackSeg(M.Regs.Seg);
-    bool Reified = S->Slots[M.Regs.Fp + 1].isUnderflowSentinel();
-    Value RestMarks =
-        M.Regs.NextK.isNil() ? Value::nil() : asCont(M.Regs.NextK)->Marks;
-    if (Reified && M.Regs.Marks != RestMarks &&
-        car(M.Regs.Marks).isMarkFrame()) {
-      Value V = markFrameLookup(car(M.Regs.Marks), Args[0]);
-      if (!V.isUndefined())
-        Result = V;
-    }
+    Value V = markFrameLookup(car(M.Regs.Marks), Args[0]);
+    if (!V.isUndefined())
+      Result = V;
   }
   // Non-tail: the conceptual frame is fresh and has no marks.
 

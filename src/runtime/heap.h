@@ -205,16 +205,12 @@ public:
   void pauseGC() { ++GCPaused; }
   void resumeGC() { --GCPaused; }
 
-  /// Total bytes allocated since the last collection (test hook).
-  uint64_t bytesSinceGC() const { return BytesSinceGC; }
-
   // --- Segment recycling (paper 5) ------------------------------------------
 
   /// Enables/disables the size-classed segment pool. Disabling releases any
   /// pooled segments immediately, so `segment-recycles` stays zero and no
   /// pooled memory lingers — the fuzzer's no-recycle leg relies on both.
   void setSegmentRecycling(bool On);
-  bool segmentRecycling() const { return RecyclingEnabled; }
 
   /// Hands a vacated stack segment back to the pool without waiting for a
   /// collection. The caller (the VM's underflow/overflow paths) must have

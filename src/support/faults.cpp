@@ -188,15 +188,6 @@ void FaultInjector::disarmAll() {
   }
 }
 
-void FaultInjector::resetCounters() {
-  for (Site &St : Sites) {
-    St.Hits = 0;
-    St.Injected = 0;
-    St.R = Rng(St.Seed * 0x100 +
-               static_cast<uint64_t>(&St - Sites) + 1);
-  }
-}
-
 bool FaultInjector::shouldFail(FaultSite S) {
   Site &St = Sites[idx(S)];
   if (St.M == Mode::Off || SuspendDepth > 0)
@@ -230,13 +221,6 @@ bool FaultInjector::anyArmed() const {
     if (St.M != Mode::Off)
       return true;
   return false;
-}
-
-uint64_t FaultInjector::totalInjected() const {
-  uint64_t N = 0;
-  for (const Site &St : Sites)
-    N += St.Injected;
-  return N;
 }
 
 std::string FaultInjector::report() const {

@@ -102,8 +102,6 @@ public:
   void reseed(uint64_t Salt);
   /// Disarms every site; counters keep their values.
   void disarmAll();
-  /// Zeroes all hit/injected counters; schedules restart from hit 0.
-  void resetCounters();
 
   /// True if the site should fail/divert now. Counts a hit (and consults
   /// the schedule) only when the site is armed and the injector is not
@@ -123,7 +121,6 @@ public:
   bool anyArmed() const;
   uint64_t hits(FaultSite S) const { return Sites[idx(S)].Hits; }
   uint64_t injected(FaultSite S) const { return Sites[idx(S)].Injected; }
-  uint64_t totalInjected() const;
 
   /// Routes FaultsInjected increments into an engine's counters.
   void attachVMStats(VMStats *S) { Stats = S; }

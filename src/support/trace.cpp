@@ -11,6 +11,7 @@
 #include "support/metrics.h"
 #include "support/timing.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -68,17 +69,30 @@ void TraceBuffer::start(uint32_t Capacity) {
 }
 
 void TraceBuffer::reset(uint32_t Capacity) {
+  Events.clear();
   if (Capacity) {
     Cap = Capacity < MinCapacity ? MinCapacity : Capacity;
-    Events.assign(Cap, TraceEvent{});
+    Events.shrink_to_fit();
   }
   Head = 0;
 }
 
-void TraceBuffer::record(TraceEv Kind, uint64_t Arg) {
+TraceEvent &TraceBuffer::nextSlot() {
   if (!Cap)
     reset(DefaultCapacity);
-  TraceEvent &E = Events[Head % Cap];
+  if (Head >= Cap)
+    return Events[Head % Cap];
+  // Until the ring first fills, Events holds exactly the Head events
+  // recorded. It grows by doubling but never past Cap, so a ring that
+  // fills only partly costs only what it holds.
+  if (Events.size() == Events.capacity())
+    Events.reserve(std::min<size_t>(
+        Cap, std::max<size_t>(2 * Events.size(), MinCapacity)));
+  return Events.emplace_back();
+}
+
+void TraceBuffer::record(TraceEv Kind, uint64_t Arg) {
+  TraceEvent &E = nextSlot();
   E.TimeNs = nowNanos();
   E.Arg = Arg;
   E.Kind = Kind;
@@ -88,9 +102,7 @@ void TraceBuffer::record(TraceEv Kind, uint64_t Arg) {
 
 void TraceBuffer::record(TraceEv Kind, const char *Label, size_t LabelLen,
                          uint64_t Arg) {
-  if (!Cap)
-    reset(DefaultCapacity);
-  TraceEvent &E = Events[Head % Cap];
+  TraceEvent &E = nextSlot();
   E.TimeNs = nowNanos();
   E.Arg = Arg;
   E.Kind = Kind;

@@ -17,13 +17,14 @@
 /// mark-frame and per-lookup mark-cache sites on the marks layer's hot
 /// paths.
 ///
-/// Events land in a fixed-capacity ring buffer: recording never
-/// allocates, and a long run keeps the *newest* window of events (with a
-/// dropped-event count for honesty). Span-shaped events (wcm extents,
-/// dynamic-wind bodies, user profiling spans) come in Begin/End pairs so
-/// the Chrome trace-event export renders them as stacked slices; the
-/// exporter re-balances pairs broken by ring wraparound or by
-/// continuation jumps.
+/// Events land in a fixed-capacity ring buffer that grows on demand up to
+/// its capacity: a ring that fills only partly costs only what it holds,
+/// recording allocates only while the ring grows, and a long run keeps
+/// the *newest* window of events (with a dropped-event count for
+/// honesty). Span-shaped events (wcm extents, dynamic-wind bodies, user
+/// profiling spans) come in Begin/End pairs so the Chrome trace-event
+/// export renders them as stacked slices; the exporter re-balances pairs
+/// broken by ring wraparound or by continuation jumps.
 ///
 /// The export format is Chrome trace-event JSON ("traceEvents" array of
 /// B/E/i phases, microsecond timestamps), loadable in ui.perfetto.dev or
@@ -106,8 +107,8 @@ enum class TraceEv : uint8_t {
   NumKinds
 };
 
-/// One recorded event. Fixed-size so the ring buffer is allocation-free:
-/// labels are truncated into the inline array.
+/// One recorded event. Fixed-size so recording allocates nothing per
+/// event: labels are truncated into the inline array.
 struct TraceEvent {
   uint64_t TimeNs; ///< steady-clock nanoseconds (cmk::nowNanos).
   uint64_t Arg;    ///< Kind-specific payload (slot counts, flags), else 0.
@@ -186,8 +187,13 @@ public:
   /// exported after shutdown.
 
 private:
+  /// The slot the next event goes in: appended until the ring first
+  /// fills, then the oldest.
+  TraceEvent &nextSlot();
+
+  /// Grows on demand up to Cap events, then wraps.
   std::vector<TraceEvent> Events;
-  uint32_t Cap = 0;    ///< Allocated lazily on first start()/reset().
+  uint32_t Cap = 0;    ///< Set on first start()/reset()/record().
   uint64_t Head = 0;   ///< Monotonic count of events ever recorded.
   uint64_t EpochNs = 0;///< TimeNs of start(); JSON ts are relative to it.
 };

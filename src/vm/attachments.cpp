@@ -21,36 +21,14 @@ using namespace cmk;
 namespace {
 
 /// True if the running native's conceptual frame currently carries an
-/// attachment; *AttOut receives it.
+/// attachment; *AttOut receives it. A non-tail call's conceptual frame is
+/// fresh and has none.
 bool currentFrameAttachment(VM &M, Value &AttOut) {
-  if (!M.NativeTailCall)
-    return false; // Non-tail: the conceptual frame is fresh.
-  StackSegObj *S = asStackSeg(M.Regs.Seg);
-  bool Reified = S->Slots[M.Regs.Fp + 1].isUnderflowSentinel();
-  if (!Reified)
-    return false;
-  Value RestMarks =
-      M.Regs.NextK.isNil() ? Value::nil() : asCont(M.Regs.NextK)->Marks;
-  if (M.Regs.Marks == RestMarks)
+  if (!M.NativeTailCall ||
+      !M.frameHasAttachment(asStackSeg(M.Regs.Seg)->Slots, M.Regs.Fp))
     return false;
   AttOut = car(M.Regs.Marks);
   return true;
-}
-
-Value restMarksAfterReify(VM &M) {
-  return M.Regs.NextK.isNil() ? Value::nil() : asCont(M.Regs.NextK)->Marks;
-}
-
-/// Reifies the continuation of the running native call (tail: the caller's
-/// frame; non-tail: the resume point).
-void reifyForNative(VM &M) {
-  CMK_TRACE_EV(M.trace(), AttachOpReify);
-  uint64_t ReifiedBefore = M.stats().Reifications;
-  if (M.NativeTailCall)
-    M.reifyCurrentFrame();
-  else
-    M.reifyAtSp(ContShot::Opportunistic);
-  M.stats().ReifyForAttachOp += M.stats().Reifications - ReifiedBefore;
 }
 
 Value nativeCallSetting(VM &M, Value *Args, uint32_t NArgs) {
@@ -58,9 +36,12 @@ Value nativeCallSetting(VM &M, Value *Args, uint32_t NArgs) {
     return typeError(M, "call-setting-continuation-attachment", "procedure",
                      Args[1]);
   GCRoot Val(M.heap(), Args[0]), Proc(M.heap(), Args[1]);
-  reifyForNative(M);
+  CMK_TRACE_EV(M.trace(), AttachOpReify);
+  uint64_t ReifiedBefore = M.stats().Reifications;
+  M.reifyNativeCall(M.NativeTailCall);
+  M.stats().ReifyForAttachOp += M.stats().Reifications - ReifiedBefore;
   CMK_TRACE_EV(M.trace(), AttachSet);
-  M.Regs.Marks = M.heap().makePair(Val.get(), restMarksAfterReify(M));
+  M.Regs.Marks = M.heap().makePair(Val.get(), M.recordMarks());
   M.scheduleTailCall(Proc.get(), nullptr, 0);
   return Value::voidValue();
 }
@@ -83,7 +64,7 @@ Value nativeCallConsuming(VM &M, Value *Args, uint32_t NArgs) {
   Value Att = Args[0];
   if (currentFrameAttachment(M, Att)) {
     CMK_TRACE_EV(M.trace(), AttachConsume);
-    M.Regs.Marks = asCont(M.Regs.NextK)->Marks;
+    M.Regs.Marks = M.recordMarks();
   }
   Value CallArgs[1] = {Att};
   M.scheduleTailCall(Args[1], CallArgs, 1);

@@ -100,19 +100,10 @@ Value nativeRawCallCC(VM &M, Value *Args, uint32_t NArgs) {
   CMK_TRACE_EV(M.trace(), Capture, 0);
   uint64_t ReifiedBefore = M.stats().Reifications;
 
-  Value KV;
-  if (M.NativeTailCall) {
-    // The continuation of a tail call is the current frame's continuation;
-    // the chain always ends in the run's halt record, so NextK is a valid
-    // capture even at the stack bottom.
-    M.reifyCurrentFrame();
-    KV = M.Regs.NextK;
-  } else {
-    // Reify opportunistically and promote the whole chain below: creating
-    // a Full record directly would break the "Full implies tail Full"
-    // invariant that makes promotion amortized constant.
-    KV = M.reifyAtSp(ContShot::Opportunistic);
-  }
+  // Reify opportunistically and promote the whole chain below: creating a
+  // Full record directly would break the "Full implies tail Full"
+  // invariant that makes promotion amortized constant.
+  Value KV = M.reifyNativeCall(M.NativeTailCall);
   M.stats().ReifyForCapture += M.stats().Reifications - ReifiedBefore;
   promoteOneShots(M, KV);
 
@@ -153,13 +144,7 @@ Value nativeCallOneShot(VM &M, Value *Args, uint32_t NArgs) {
   CMK_TRACE_EV(M.trace(), Capture, 1);
   uint64_t ReifiedBefore = M.stats().Reifications;
 
-  Value KV;
-  if (M.NativeTailCall) {
-    M.reifyCurrentFrame();
-    KV = M.Regs.NextK;
-  } else {
-    KV = M.reifyAtSp(ContShot::Opportunistic);
-  }
+  Value KV = M.reifyNativeCall(M.NativeTailCall);
   M.stats().ReifyForCapture += M.stats().Reifications - ReifiedBefore;
   // Do not demote a record that a previous call/cc already promoted to a
   // full continuation (it may legitimately be used many times).

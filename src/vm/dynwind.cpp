@@ -96,10 +96,7 @@ Value nativeCallWithMarks(VM &M, Value *Args, uint32_t NArgs) {
   if (!Args[1].isProcedure())
     return typeError(M, "#%call-with-marks", "procedure", Args[1]);
   GCRoot Marks(M.heap(), Args[0]), Thunk(M.heap(), Args[1]);
-  if (M.NativeTailCall)
-    M.reifyCurrentFrame();
-  else
-    M.reifyAtSp(ContShot::Opportunistic);
+  M.reifyNativeCall(M.NativeTailCall);
   M.Regs.Marks = Marks.get();
   M.scheduleTailCall(Thunk.get(), nullptr, 0);
   return Value::voidValue();

@@ -73,16 +73,8 @@ Value FiberScheduler::makeHaltCont(VM &M) {
 }
 
 Value FiberScheduler::captureHere(VM &M) {
-  // The call/1cc capture split (vm/callcc.cpp): in tail position the
-  // current frame is dead, so the continuation is just NextK; otherwise
-  // split at sp so the park call's frame is part of the capture.
-  Value KV;
-  if (M.NativeTailCall) {
-    M.reifyCurrentFrame();
-    KV = M.Regs.NextK;
-  } else {
-    KV = M.reifyAtSp(ContShot::Opportunistic);
-  }
+  // The call/1cc capture (vm/callcc.cpp): the park call's continuation.
+  Value KV = M.reifyNativeCall(M.NativeTailCall);
   // Scheduler resumes are strictly one-shot; marking the record makes a
   // stray second resume fail with the standard one-shot error.
   if (asCont(KV)->shot() == ContShot::Opportunistic)

@@ -89,8 +89,6 @@ public:
   /// Ns until the earliest timer is due (0 when none pending); the pool
   /// worker bounds its queue wait by this so sleepers wake on time.
   uint64_t nextTimerDelayNs() const;
-  /// Finished job fibers awaiting collection by the pool worker.
-  size_t doneJobCount() const { return DoneJobs.size(); }
 
   // --- Fiber lifecycle (natives and engine glue; VM thread only) ------------
 

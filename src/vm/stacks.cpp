@@ -10,7 +10,7 @@
 
 #include "vm/vm.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <cstring>
 
 using namespace cmk;
@@ -136,6 +136,36 @@ Value VM::reifyAtSp(ContShot Shot) {
   return KV;
 }
 
+Value VM::reifyNativeCall(bool Tail) {
+  if (!Tail)
+    return reifyAtSp(ContShot::Opportunistic);
+  // The chain always ends in the run's halt record, so NextK is a valid
+  // continuation even at the stack bottom.
+  reifyCurrentFrame();
+  return Regs.NextK;
+}
+
+void VM::moveToFreshSegment(uint32_t Need) {
+  ++Stats.SegmentOverflows;
+  CMK_TRACE_EV(Trace, SegmentOverflow, Need);
+  // Heap-frame mode emulates frame-per-segment allocation (Pycket-like),
+  // so its segments are sized to the frame instead of the regular chunk.
+  uint32_t Cap = Cfg.HeapFrameMode ? Need + 64
+                                   : std::max(Cfg.SegmentSlots, Need + 1024);
+  uint32_t Len = Regs.Sp - Regs.Base;
+  Value OldSegV = Regs.Seg; // Stays a root until Regs.Seg moves on.
+  Value NewSegV = H.makeStackSeg(Cap);
+  std::memcpy(asStackSeg(NewSegV)->Slots,
+              asStackSeg(OldSegV)->Slots + Regs.Base, sizeof(Value) * Len);
+  Regs.Seg = NewSegV;
+  Regs.Base = 0;
+  Regs.Fp = 0;
+  Regs.Sp = Len;
+  // The record the caller reified usually still holds the old segment; it
+  // is vacated when the reification found nothing above the base.
+  maybeRecycleSegment(OldSegV);
+}
+
 /// Copies the captured slice of \p K onto a fresh segment and points the
 /// registers at it. Restores Fp/Sp from the record; the caller sets the
 /// code/pc/marks/winders registers.
@@ -176,6 +206,18 @@ static void restoreByCopy(VM &M, ContObj *K) {
   // The segment just abandoned is finished with unless some record still
   // holds a slice of it (checked inside).
   M.maybeRecycleSegment(VacatedSegV);
+}
+
+/// Loads the resume point, marks, winders and next record of \p K, whose
+/// slice is now the live stack.
+static void loadRecordRegisters(VM &M, ContObj *K) {
+  M.Regs.CurCode = K->RetCode;
+  M.Regs.Pc = static_cast<uint32_t>(K->RetPc.asFixnum());
+  M.Regs.Marks = K->Marks;
+  M.Regs.Winders = K->Winders;
+  M.Regs.NextK = K->Next;
+  if (M.config().MarkStackMode && M.MarkStack.size() > K->MarkHeight)
+    M.MarkStack.resize(K->MarkHeight);
 }
 
 bool VM::underflow(Value Result) {
@@ -226,8 +268,6 @@ bool VM::underflow(Value Result) {
     maybeRecycleSegment(K->Seg);
   }
 
-  Regs.CurCode = K->RetCode;
-  Regs.Pc = static_cast<uint32_t>(K->RetPc.asFixnum());
   if (Trace.Enabled) {
     // Returning through the record pops every attachment the register
     // holds beyond the record's marks: the end of those wcm extents
@@ -235,15 +275,25 @@ bool VM::underflow(Value Result) {
     for (Value P = Regs.Marks; P.isPair() && !(P == K->Marks); P = cdr(P))
       Trace.record(TraceEv::MarksPop);
   }
-  Regs.Marks = K->Marks;
-  Regs.Winders = K->Winders;
-  Regs.NextK = K->Next;
-  if (Cfg.MarkStackMode && MarkStack.size() > K->MarkHeight)
-    MarkStack.resize(K->MarkHeight);
+  loadRecordRegisters(*this, K);
 
   setSlot(Regs.Sp, ResultRoot.get());
   ++Regs.Sp;
   return true;
+}
+
+/// Makes record \p KV the live continuation for an explicit restore
+/// (continuation application, prompt abort): promotes it, since the record
+/// may be restored again and so must never fuse; pins its segment; copies
+/// its slice; and loads the registers.
+static void restoreRecord(VM &M, Value KV) {
+  GCRoot KRoot(M.heap(), KV);
+  ContObj *K = asCont(KV);
+  if (K->shot() == ContShot::Opportunistic)
+    K->setShot(ContShot::Full);
+  pinRecordSegment(K);
+  restoreByCopy(M, K);
+  loadRecordRegisters(M, asCont(KRoot.get()));
 }
 
 void VM::applyContinuation(Value KV, Value Result) {
@@ -262,29 +312,17 @@ void VM::applyContinuation(Value KV, Value Result) {
     }
     K->setUsed();
   }
-  // Explicit application must never fuse: the record may be applied again.
-  if (K->shot() == ContShot::Opportunistic)
-    K->setShot(ContShot::Full);
-  pinRecordSegment(K);
-
-  restoreByCopy(*this, K);
+  restoreRecord(*this, KV);
   K = asCont(KRoot.get());
-  Regs.CurCode = K->RetCode;
-  Regs.Pc = static_cast<uint32_t>(K->RetPc.asFixnum());
-  Regs.Marks = K->Marks;
-  Regs.Winders = K->Winders;
-  Regs.NextK = K->Next;
-  if (Cfg.MarkStackMode) {
-    if (K->MarkStackCopy.isVector()) {
-      VectorObj *V = asVector(K->MarkStackCopy);
-      MarkStack.clear();
-      for (uint32_t I = 0; I + 4 <= V->Len; I += 4)
-        MarkStack.push_back({V->Elems[I],
-                             static_cast<uint32_t>(V->Elems[I + 1].asFixnum()),
-                             V->Elems[I + 2], V->Elems[I + 3]});
-    } else if (MarkStack.size() > K->MarkHeight) {
-      MarkStack.resize(K->MarkHeight);
-    }
+  if (Cfg.MarkStackMode && K->MarkStackCopy.isVector()) {
+    // Old-Racket comparator: a captured record carries the whole mark
+    // stack, which replaces the live one.
+    VectorObj *V = asVector(K->MarkStackCopy);
+    MarkStack.clear();
+    for (uint32_t I = 0; I + 4 <= V->Len; I += 4)
+      MarkStack.push_back({V->Elems[I],
+                           static_cast<uint32_t>(V->Elems[I + 1].asFixnum()),
+                           V->Elems[I + 2], V->Elems[I + 3]});
   }
 
   setSlot(Regs.Sp, ResultRoot.get());
@@ -295,20 +333,7 @@ void VM::jumpToContinuation(Value KV) {
   ++Stats.ContinuationApplies;
   CMK_TRACE_EV(Trace, ContJump);
   NativeJumped = true;
-  GCRoot KRoot(H, KV);
-  ContObj *K = asCont(KV);
-  if (K->shot() == ContShot::Opportunistic)
-    K->setShot(ContShot::Full);
-  pinRecordSegment(K);
-  restoreByCopy(*this, K);
-  K = asCont(KRoot.get());
-  Regs.CurCode = K->RetCode;
-  Regs.Pc = static_cast<uint32_t>(K->RetPc.asFixnum());
-  Regs.Marks = K->Marks;
-  Regs.Winders = K->Winders;
-  Regs.NextK = K->Next;
-  if (Cfg.MarkStackMode && MarkStack.size() > K->MarkHeight)
-    MarkStack.resize(K->MarkHeight);
+  restoreRecord(*this, KV);
 }
 
 Value VM::makePassThroughRecord() {
@@ -338,30 +363,4 @@ Value VM::makePassThroughRecord() {
   K->setShot(ContShot::Full);
   noteRecordRef(K); // Full: pins its own little segment.
   return KV;
-}
-
-void VM::ensureStackSpace(uint32_t Needed) {
-  // Overflow at a call boundary splits the stack exactly like a capture:
-  // the frames so far become a captured (opportunistic one-shot)
-  // continuation and execution continues on a fresh segment. Callers must
-  // re-read Regs.Seg/Base/Fp/Sp afterwards.
-  StackSegObj *S = asStackSeg(Regs.Seg);
-  if (Regs.Sp + Needed <= S->Capacity && !forcedOverflow()) {
-    return;
-  }
-  // The latch is consumed here when the fault (not capacity) brought us in.
-  ForceOverflowOnce = false;
-  ++Stats.SegmentOverflows;
-  CMK_TRACE_EV(Trace, SegmentOverflow, Needed);
-  reifyAtSp(ContShot::Opportunistic);
-  uint32_t Cap = std::max(Cfg.SegmentSlots, Needed + 1024);
-  Value OldSegV = Regs.Seg;
-  Value NewSegV = H.makeStackSeg(Cap);
-  Regs.Seg = NewSegV;
-  Regs.Base = 0;
-  Regs.Fp = 0;
-  Regs.Sp = 0;
-  // Only recyclable when reifyAtSp collapsed to the existing record chain
-  // (nothing above the base); otherwise the new record holds a reference.
-  maybeRecycleSegment(OldSegV);
 }

@@ -17,7 +17,6 @@
 #include "runtime/printer.h"
 #include "support/metrics.h"
 
-#include <cstring>
 #include <limits>
 
 using namespace cmk;
@@ -199,39 +198,6 @@ bool checkArity(VM &M, Value Fn, uint32_t NArgs) {
     return true;
   M.raiseError(procName(Fn) + ": wrong number of arguments");
   return false;
-}
-
-/// Moves a frame under construction at [Hdr, Sp) onto a fresh segment when
-/// it does not fit; the frames below Hdr become a captured continuation.
-void overflowMovePending(VM &M, uint32_t &Hdr, uint32_t CalleeNeed,
-                         Value MarksForRecord) {
-  ++M.stats().SegmentOverflows;
-  uint32_t PendingLen = M.Regs.Sp - Hdr;
-  uint32_t OldHdr = Hdr;
-  Value OldSegV = M.Regs.Seg;
-
-  // Split below the pending frame.
-  M.Regs.Sp = Hdr;
-  Value KV = M.reifyAtSp(ContShot::Opportunistic);
-  asCont(KV)->Marks = MarksForRecord;
-
-  // Heap-frame mode emulates frame-per-segment allocation (Pycket-like),
-  // so segments are sized to the frame instead of the regular chunk size.
-  uint32_t Cap = M.config().HeapFrameMode
-                     ? CalleeNeed + PendingLen + 64
-                     : std::max(M.config().SegmentSlots,
-                                CalleeNeed + PendingLen + 1024);
-  Value NewSegV = M.heap().makeStackSeg(Cap);
-  std::memcpy(asStackSeg(NewSegV)->Slots, asStackSeg(OldSegV)->Slots + OldHdr,
-              sizeof(Value) * PendingLen);
-  M.Regs.Seg = NewSegV;
-  M.Regs.Base = 0;
-  M.Regs.Fp = 0;
-  M.Regs.Sp = PendingLen;
-  Hdr = 0;
-  // Usually the reified record above keeps the old segment referenced, but
-  // when reifyAtSp collapsed to the existing chain the segment is vacated.
-  M.maybeRecycleSegment(OldSegV);
 }
 
 /// Collects surplus arguments into a rest list. Args live in stack slots
@@ -1157,28 +1123,16 @@ DoCall : {
     VM_NEXT();
   }
   VM_CASE(AttachGet) {
-    // The frame has an attachment iff it is reified and the marks
-    // register differs from the record's marks (paper 7.2).
-    bool Reified = Slots[Fp + 1].isUnderflowSentinel();
-    if (Reified && !Regs.NextK.isNil() &&
-        Regs.Marks != asCont(Regs.NextK)->Marks)
+    if (frameHasAttachment(Slots, Fp))
       Slots[Sp - 1] = car(Regs.Marks);
-    else if (Reified && Regs.NextK.isNil() && !Regs.Marks.isNil())
-      Slots[Sp - 1] = car(Regs.Marks); // Bottom frame of the continuation.
     ++Pc;
     VM_NEXT();
   }
   VM_CASE(AttachConsume) {
-    bool Reified = Slots[Fp + 1].isUnderflowSentinel();
-    if (Reified && !Regs.NextK.isNil() &&
-        Regs.Marks != asCont(Regs.NextK)->Marks) {
+    if (frameHasAttachment(Slots, Fp)) {
       Slots[Sp - 1] = car(Regs.Marks);
       CMK_TRACE_EV(Trace, AttachConsume);
-      Regs.Marks = asCont(Regs.NextK)->Marks;
-    } else if (Reified && Regs.NextK.isNil() && !Regs.Marks.isNil()) {
-      Slots[Sp - 1] = car(Regs.Marks); // Bottom frame of the continuation.
-      CMK_TRACE_EV(Trace, AttachConsume);
-      Regs.Marks = Value::nil();
+      Regs.Marks = recordMarks();
     }
     ++Pc;
     VM_NEXT();
@@ -1557,22 +1511,12 @@ static VM::Dispatch deliverNativeResult(VM &M, Value Res) {
 /// arguments would not fit.
 static uint32_t buildPendingFrame(VM &M) {
   uint32_t NArgs = static_cast<uint32_t>(M.PendingArgs.size());
-  uint32_t Hdr = M.Regs.Sp;
-  StackSegObj *S = asStackSeg(M.Regs.Seg);
-  if (Hdr + FrameHeaderSlots + NArgs + 64 > S->Capacity) {
-    ++M.stats().SegmentOverflows;
-    if (Hdr != M.Regs.Base)
-      M.reifyAtSp(ContShot::Opportunistic);
-    Value OldSegV = M.Regs.Seg;
-    Value NewSegV = M.heap().makeStackSeg(
-        std::max(M.config().SegmentSlots, NArgs + 1024));
-    M.Regs.Seg = NewSegV;
-    M.Regs.Base = 0;
-    M.Regs.Fp = 0;
-    M.Regs.Sp = 0;
-    Hdr = 0;
-    M.maybeRecycleSegment(OldSegV);
+  uint32_t Need = FrameHeaderSlots + NArgs + 64;
+  if (M.Regs.Sp + Need > asStackSeg(M.Regs.Seg)->Capacity) {
+    M.reifyAtSp(ContShot::Opportunistic); // A no-op at the stack base.
+    M.moveToFreshSegment(Need);
   }
+  uint32_t Hdr = M.Regs.Sp;
   Value *Slots = asStackSeg(M.Regs.Seg)->Slots;
   if (Hdr == M.Regs.Base) {
     Slots[Hdr + 0] = Value::fixnum(0);
@@ -1669,27 +1613,15 @@ VM::Dispatch VM::dispatchSlowCall(uint32_t Hdr, uint32_t NArgs) {
         Overflow = true;
       }
       if (Overflow) {
-        if (Slots[Hdr + 1].isUnderflowSentinel() && Hdr == Regs.Base) {
-          // Already at a stack base (pre-reified CallAttach or pending
-          // frame): just move the pending frame to a fresh segment.
-          ++Stats.SegmentOverflows;
-          uint32_t Len = Regs.Sp - Hdr;
-          Value OldSegV = Regs.Seg;
-          Value NewSegV = H.makeStackSeg(
-              std::max(Cfg.SegmentSlots, Code->FrameSize + 1024));
-          std::memcpy(asStackSeg(NewSegV)->Slots,
-                      asStackSeg(OldSegV)->Slots + Hdr, sizeof(Value) * Len);
-          Regs.Seg = NewSegV;
-          Regs.Base = 0;
-          Regs.Sp = Len;
-          Hdr = 0;
-          // The pending frame was the vacated segment's only content (it
-          // sat at the stack base); without this, heap-frame mode pays a
-          // second segment allocation per call on the return path.
-          maybeRecycleSegment(OldSegV);
-        } else {
-          overflowMovePending(*this, Hdr, Code->FrameSize, Regs.Marks);
-        }
+        // Split below the pending frame, then move it alone to a fresh
+        // segment. A frame already at the stack base (a pre-reified
+        // CallAttach or a scheduled call) has nothing below it to split.
+        uint32_t Top = Regs.Sp;
+        Regs.Sp = Hdr;
+        reifyAtSp(ContShot::Opportunistic);
+        Regs.Sp = Top;
+        moveToFreshSegment(Code->FrameSize);
+        Hdr = 0;
         Slots = asStackSeg(Regs.Seg)->Slots;
         Slots[Hdr + 0] = Value::fixnum(0);
         Slots[Hdr + 1] = Value::underflowSentinel();
@@ -1783,20 +1715,11 @@ VM::Dispatch VM::dispatchSlowTail(uint32_t NArgs) {
       if (TailOverflow) {
         // Overflow on a tail call: reify, then move this frame to a fresh
         // segment (the record keeps the old one alive for the copy-back).
-        ++Stats.SegmentOverflows;
         Regs.Sp = Fp + FrameHeaderSlots + Code->NumArgs;
         reifyCurrentFrame();
-        uint32_t Len = Regs.Sp - Fp;
-        Value OldSegV = Regs.Seg;
-        Value NewSegV = H.makeStackSeg(
-            std::max(Cfg.SegmentSlots, Code->FrameSize + 1024));
-        std::memcpy(asStackSeg(NewSegV)->Slots,
-                    asStackSeg(OldSegV)->Slots + Fp, sizeof(Value) * Len);
-        Regs.Seg = NewSegV;
-        Regs.Base = 0;
-        Regs.Fp = Fp = 0;
+        moveToFreshSegment(Code->FrameSize);
+        Fp = 0;
         Slots = asStackSeg(Regs.Seg)->Slots;
-        maybeRecycleSegment(OldSegV);
       }
       for (uint32_t I = Code->NumArgs; I < Code->NumLocals; ++I)
         Slots[Fp + FrameHeaderSlots + I] = Value::undefined();
@@ -1826,9 +1749,17 @@ VM::Dispatch VM::dispatchSlowTail(uint32_t NArgs) {
           return dispatchSlowCall(Hdr,
                                   static_cast<uint32_t>(PendingArgs.size()));
         }
+        NArgs = static_cast<uint32_t>(PendingArgs.size());
+        if (Regs.Fp + FrameHeaderSlots + NArgs >
+            asStackSeg(Regs.Seg)->Capacity) {
+          // The scheduled call reuses this frame, and its arguments do not
+          // fit: reify the frame and move its header to a fresh segment.
+          reifyCurrentFrame();
+          Regs.Sp = Regs.Fp + FrameHeaderSlots;
+          moveToFreshSegment(FrameHeaderSlots + NArgs);
+        }
         Slots = asStackSeg(Regs.Seg)->Slots;
         Fp = Regs.Fp;
-        NArgs = static_cast<uint32_t>(PendingArgs.size());
         Slots[Fp + 3] = PendingFn;
         for (uint32_t I = 0; I < NArgs; ++I)
           Slots[Fp + FrameHeaderSlots + I] = PendingArgs[I];

@@ -205,6 +205,19 @@ public:
   /// its temporaries become part of the captured stack. Returns the record.
   Value reifyAtSp(ContShot Shot);
 
+  /// Reifies the continuation of the running native call and returns its
+  /// record. In tail position (\p Tail) that continuation is the caller's
+  /// frame's, so the frame is reified and NextK returned; otherwise the
+  /// stack splits at sp, at the native's resume point.
+  Value reifyNativeCall(bool Tail);
+
+  /// Segment overflow (paper 5): the caller has reified, so [Base, Sp)
+  /// holds at most the frame being moved, with its header at Base. Counts
+  /// and traces the overflow, copies that frame to slot 0 of a fresh
+  /// segment with room for \p Need slots, points Base/Fp/Sp at it, and
+  /// recycles the vacated segment when no record still holds it.
+  void moveToFreshSegment(uint32_t Need);
+
   /// Handles a return through the underflow sentinel; pushes \p Result on
   /// the restored stack. Returns false when the continuation chain is empty
   /// (the run is complete and \p Result is final).
@@ -214,14 +227,23 @@ public:
   /// stack with the captured one (copying; paper 5).
   void applyContinuation(Value K, Value Result);
 
-  /// Ensures at least \p Needed free slots; may split the stack into a new
-  /// segment (overflow reification).
-  void ensureStackSpace(uint32_t Needed);
-
   /// Like applyContinuation but delivers no value: restores the machine to
   /// \p K's resume point. The caller schedules what runs there (used by
   /// prompt aborts to invoke the handler in the prompt's continuation).
   void jumpToContinuation(Value K);
+
+  /// The marks of the innermost record: the current continuation's
+  /// attachments without those of the frame that returns through it.
+  Value recordMarks() const {
+    return Regs.NextK.isNil() ? Value::nil() : asCont(Regs.NextK)->Marks;
+  }
+
+  /// Paper 7.2: the frame at \p Fp (within \p Slots, the current segment)
+  /// carries an attachment iff it is reified and the marks register
+  /// differs from its record's marks. The attachment is car(Regs.Marks).
+  bool frameHasAttachment(const Value *Slots, uint32_t Fp) const {
+    return Slots[Fp + 1].isUnderflowSentinel() && Regs.Marks != recordMarks();
+  }
 
   /// Creates a fresh pass-through underflow record: returning through it
   /// just forwards the value to the next record. Used to attach prompt

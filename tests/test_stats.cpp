@@ -122,19 +122,90 @@ TEST(Stats, CaptureAttributionAndPromotions) {
   EXPECT_LE(S.ReifyForCapture, S.Reifications);
 }
 
-TEST(Stats, SegmentAccountingOnDeepRecursion) {
-  // Deep non-tail recursion overflows segments; each overflow splits the
-  // stack and allocates a fresh segment.
+// --- Segment overflow (paper 5), from each site that can overflow ----------
+//
+// Every overflow reifies the way its site requires and then takes the one
+// move to a fresh segment. The reification counters tell the sites apart.
+
+/// Runs \p Run on an engine with 512-slot segments after \p Setup, checks
+/// that it writes \p Expected, and returns the run's counters.
+VMStats overflowRun(const std::string &Setup, const std::string &Run,
+                    const std::string &Expected) {
   EngineOptions Opts;
   Opts.VmCfg.SegmentSlots = 512;
   SchemeEngine E(Opts);
-  VMStats S = runCounted(
-      E,
+  E.evalOrDie(Setup);
+  E.resetStats();
+  expectEval(E, Run, Expected);
+  return E.stats();
+}
+
+TEST(Stats, SegmentAccountingOnDeepRecursion) {
+  // Deep non-tail recursion overflows segments. Each overflow splits the
+  // stack below the pending frame, one reification per overflow, and
+  // moves that frame alone to a fresh segment.
+  VMStats S = overflowRun(
       "(define (deep n) (if (zero? n) 0 (+ 1 (deep (- n 1)))))",
-      "(deep 5000)");
+      "(deep 5000)", "5000");
   EXPECT_GT(S.SegmentOverflows, 10u);
+  EXPECT_EQ(S.ReifySplit, S.SegmentOverflows);
+  EXPECT_EQ(S.Reifications, S.SegmentOverflows);
   EXPECT_GT(S.SegmentAllocs, 10u);
   EXPECT_GT(S.SegmentSlotsAllocated, S.SegmentAllocs);
+}
+
+TEST(Stats, OverflowAtTheStackBaseMovesWithoutASplit) {
+  // CallAttach splits below each call (paper 7.2), so an overflowing frame
+  // already sits at the stack base and moves without a split of its own.
+  VMStats S = overflowRun(
+      "(define (deep n)\n"
+      "  (if (zero? n) 0\n"
+      "      (+ 1 (with-continuation-mark 'k n (deep (- n 1))))))",
+      "(deep 5000)", "5000");
+  EXPECT_GT(S.SegmentOverflows, 10u);
+  EXPECT_EQ(S.ReifyForAttachCall, 5000u);
+  EXPECT_EQ(S.Reifications, S.ReifyForAttachCall);
+}
+
+TEST(Stats, OverflowOnATailCallReifiesTheFrame) {
+  // `wide` needs ~300 slots of temporaries. Tail-called from `down`'s
+  // frame at rising depths, it stops fitting below the end of the
+  // segment: the caller's frame is reified in place and moved.
+  std::string Wide = "(define (wide a) (length (list";
+  for (int I = 0; I < 300; ++I)
+    Wide += " a";
+  Wide += ")))";
+  VMStats S = overflowRun(
+      Wide + "(define (down n) (if (zero? n) (wide n) (+ 1 (down (- n 1)))))",
+      "(let loop ([n 0] [acc 0])\n"
+      "  (if (= n 80) acc (loop (+ n 1) (+ acc (down n)))))",
+      "27160");
+  EXPECT_GT(S.ReifyTailFrame, 0u);
+  EXPECT_EQ(S.SegmentOverflows, S.ReifyTailFrame + S.ReifySplit);
+  EXPECT_EQ(S.Reifications, S.SegmentOverflows);
+}
+
+TEST(Stats, OverflowBuildingACallANativeScheduled) {
+  // apply schedules its callee. Non-tail, the scheduled frame is built at
+  // sp and 600 arguments do not fit: the stack splits there and the frame
+  // starts a fresh segment.
+  VMStats S = overflowRun("(define big (iota 600))"
+                          "(define (count . xs) (length xs))",
+                          "(+ 1 (apply count big))", "601");
+  EXPECT_EQ(S.SegmentOverflows, 1u);
+  EXPECT_EQ(S.ReifySplit, 1u);
+}
+
+TEST(Stats, OverflowReusingTheFrameForATailScheduledCall) {
+  // In tail position the scheduled call reuses the caller's frame, which
+  // has no room for 600 arguments: written in place they would run past
+  // the segment's end, so the frame is reified and moved first.
+  VMStats S = overflowRun("(define big (iota 600))"
+                          "(define (count . xs) (length xs))"
+                          "(define (g) (apply count big))",
+                          "(+ 1 (g))", "601");
+  EXPECT_EQ(S.SegmentOverflows, 1u);
+  EXPECT_EQ(S.ReifyTailFrame, 1u);
 }
 
 TEST(Stats, RuntimeStatsPrimitiveReturnsAlist) {

@@ -144,6 +144,19 @@ TEST(TraceSequences, CallCCCaptureAndApply) {
   EXPECT_EQ(Seq.front(), TraceEv::Capture);
 }
 
+// Paper 5: deep non-tail recursion overflows segment after segment, and
+// each overflow records one segment-overflow event as it is counted.
+TEST(TraceSequences, EverySegmentOverflowIsRecorded) {
+  SchemeEngine E;
+  E.evalOrDie("(define (f n) (if (zero? n) 0 (+ 1 (f (- n 1)))))");
+  E.resetStats();
+  auto Kinds = tracedKinds(E, "", "(f 100000)");
+  EXPECT_EQ(E.trace().dropped(), 0u);
+  EXPECT_GT(E.stats().SegmentOverflows, 0u);
+  EXPECT_EQ(countKind(Kinds, TraceEv::SegmentOverflow),
+            E.stats().SegmentOverflows);
+}
+
 // --- Profiling primitives on top of marks ---------------------------------
 
 TEST(TraceProfiling, CallWithProfilingEmitsLabeledSpan) {
