@@ -110,8 +110,9 @@ public:
   /// catchable exn:interrupt? exception.
   void requestInterrupt() { Machine.requestInterrupt(); }
 
-  /// Deterministic fault-injection control (active only when built with
-  /// -DCMARKS_FAULTS=ON; configuration is always accepted).
+  /// Deterministic fault-injection control (support/faults.h). The
+  /// constructor arms the CMARKS_FAULT_SPEC schedule, if set; the API can
+  /// replace or disarm it.
   FaultInjector &faults() { return Machine.faults(); }
 
   VM &vm() { return Machine; }

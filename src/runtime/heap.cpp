@@ -200,7 +200,7 @@ void *Heap::checkedMalloc(size_t Bytes, const char *What) {
 
 void Heap::checkHeapBudget(size_t Rounded) {
   // Failing fault sites: pretend this allocation exhausted the budget.
-  if (CMK_FAULT(FaultsPtr, Oom))
+  if (CMK_FAULT(Faults, Oom))
     injectHeapTrip();
   if (LimitsPtr && LimitsPtr->HeapBytes)
     checkByteBudget(BytesInUse, *LimitsPtr, EngineGrants, Rounded);
@@ -370,7 +370,7 @@ void *Heap::allocRaw(size_t Bytes, ObjKind Kind) {
   size_t Rounded = (Bytes + 15) & ~size_t(15);
   // Semantics-preserving fault site: force a collection at an arbitrary
   // allocation, shaking out missing-root bugs deterministically.
-  if (CMK_FAULT(FaultsPtr, Gc) && !GCPaused && !InGC)
+  if (CMK_FAULT(Faults, Gc) && !GCPaused && !InGC)
     collect();
   maybeCollect();
   // Budget check happens before any memory or accounting changes, so a
@@ -415,7 +415,7 @@ void *Heap::allocNursery(size_t Bytes, ObjKind Kind) {
     return allocRaw(Bytes, Kind);
   // Identical governance to allocRaw: the nursery changes where young
   // objects land, not what an allocation is allowed to do.
-  if (CMK_FAULT(FaultsPtr, Gc) && !GCPaused && !InGC)
+  if (CMK_FAULT(Faults, Gc) && !GCPaused && !InGC)
     collect();
   maybeCollect();
   checkHeapBudget(Rounded);
@@ -938,7 +938,7 @@ Value Heap::makeStackSeg(uint32_t CapacitySlots) {
   // be pooled and handed back independently of its neighbours. Same
   // governance order as allocRaw: fault site, collection, budget — all
   // before any memory or accounting changes.
-  if (CMK_FAULT(FaultsPtr, Gc) && !GCPaused && !InGC)
+  if (CMK_FAULT(Faults, Gc) && !GCPaused && !InGC)
     collect();
   maybeCollect();
   checkHeapBudget(Rounded);

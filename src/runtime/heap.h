@@ -19,6 +19,7 @@
 #define CMARKS_RUNTIME_HEAP_H
 
 #include "runtime/value.h"
+#include "support/faults.h"
 #include "support/limits.h"
 
 #include <cstddef>
@@ -31,7 +32,6 @@ namespace cmk {
 class Heap;
 struct VMStats;      // support/stats.h
 class TraceBuffer;   // support/trace.h
-class FaultInjector; // support/faults.h
 
 /// Interface through which the heap discovers roots held by subsystems
 /// (the VM registers and stacks, the symbol table, compiler temporaries).
@@ -237,10 +237,10 @@ public:
   /// runs. Null (or zero fields) disables enforcement.
   void attachLimits(const EngineLimits *L) { LimitsPtr = L; }
 
-  /// Routes fault-injection hooks (support/faults.h) into allocation and
-  /// segment paths. Null disables.
-  void attachFaults(FaultInjector *F) { FaultsPtr = F; }
-  FaultInjector *faults() const { return FaultsPtr; }
+  /// The engine's fault injector (support/faults.h). The heap owns it
+  /// because most probes sit on its allocation paths, where an unarmed
+  /// probe is then one test of a member; the VM's probes reach it here.
+  FaultInjector &faults() { return Faults; }
 
   /// Lets a pending trip reach the VM promptly: when a budget grants its
   /// reserve, the heap zeroes *\p Fuel so the dispatch loop reaches its
@@ -404,7 +404,6 @@ private:
 
   // Resource governance (support/limits.h).
   const EngineLimits *LimitsPtr = nullptr;
-  FaultInjector *FaultsPtr = nullptr;
   int64_t *FuelPoke = nullptr; ///< VM fuel, zeroed when a trip is set.
   uint64_t BytesInUse = 0;   ///< Committed object bytes (incl. garbage).
   uint32_t LiveSegments = 0; ///< Live StackSeg objects.
@@ -413,6 +412,7 @@ private:
   std::vector<std::unique_ptr<ResourceAccount>> Accounts;
   ResourceAccount *CurAccount = nullptr;
   uint64_t SegmentsSinceGC = 0; ///< Segments handed out since the last GC.
+  FaultInjector Faults;
 };
 
 /// RAII wrapper for Heap::pauseGC/resumeGC.

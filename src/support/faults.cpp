@@ -225,8 +225,7 @@ bool FaultInjector::anyArmed() const {
 
 std::string FaultInjector::report() const {
   std::ostringstream Out;
-  Out << "fault injection report (" << (CMARKS_FAULTS ? "enabled" : "compiled out")
-      << "):\n";
+  Out << "fault injection report:\n";
   for (int I = 0; I < NumFaultSites; ++I) {
     const Site &St = Sites[I];
     const char *ModeName = St.M == Mode::Off     ? "off"

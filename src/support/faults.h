@@ -5,9 +5,9 @@
 /// paths on demand. The paper's design is judged on what happens at
 /// segment overflow (§5), reification (§7.2), and underflow fuse-vs-copy
 /// (§6) — paths a normal workload may never hit. Each injection site is a
-/// named hook compiled into the runtime when the `CMARKS_FAULTS` CMake
-/// option is ON; a trigger schedule (nth hit, every Kth hit, or a seeded
-/// coin flip) decides when the hook fires.
+/// named hook compiled into every build and armed at run time; a trigger
+/// schedule (nth hit, every Kth hit, or a seeded coin flip) decides when
+/// the hook fires.
 ///
 /// Two site families:
 ///
@@ -23,14 +23,14 @@
 ///    exceptions real exhaustion produces, so recovery tests can force
 ///    OOM-during-reify without a multi-gigabyte workload.
 ///
-/// Hooks are free when `CMARKS_FAULTS` is OFF (the macro folds to
-/// `false`); the class itself is always compiled so the embedding API is
-/// build-independent. Configuration comes from the API
-/// (`configureFromSpec`) or the `CMARKS_FAULT_SPEC` environment variable;
-/// the seeded trigger reuses `cmk::Rng` so schedules are reproducible
-/// across platforms. Hit counting pauses while suspended (engine startup
-/// loads the prelude suspended, so `at=N` is deterministic relative to
-/// the user's program, not the prelude).
+/// An unarmed hook costs one inline test of its site's mode, as a trace
+/// site costs one test of `Enabled` (DESIGN §8), and counts nothing.
+/// Configuration comes from the API (`configureFromSpec`) or the
+/// `CMARKS_FAULT_SPEC` environment variable, in every build; the seeded
+/// trigger reuses `cmk::Rng` so schedules are reproducible across
+/// platforms. Hit counting pauses while suspended (engine startup loads
+/// the prelude suspended, so `at=N` is deterministic relative to the
+/// user's program, not the prelude).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +43,9 @@
 #include <cstdint>
 #include <string>
 
+// Nothing in the library reads CMARKS_FAULTS. The default stays only
+// because perfbench's production-build gate (perfbench/src/main.cpp)
+// reads it to report and refuse a fault build.
 #ifndef CMARKS_FAULTS
 #define CMARKS_FAULTS 0
 #endif
@@ -103,6 +106,10 @@ public:
   /// Disarms every site; counters keep their values.
   void disarmAll();
 
+  /// True when \p S has a schedule. CMK_FAULT tests this inline and calls
+  /// shouldFail only for an armed site.
+  bool armed(FaultSite S) const { return Sites[idx(S)].M != Mode::Off; }
+
   /// True if the site should fail/divert now. Counts a hit (and consults
   /// the schedule) only when the site is armed and the injector is not
   /// suspended, so `at=N` schedules are stable under engine-internal
@@ -147,14 +154,10 @@ private:
 
 } // namespace cmk
 
-// The hook: true when the build compiles fault injection in, the injector
-// is attached, and this site's schedule fires on this hit.
-#if CMARKS_FAULTS
-#define CMK_FAULT(InjPtr, SITE)                                                \
-  ((InjPtr) != nullptr &&                                                      \
-   (InjPtr)->shouldFail(::cmk::FaultSite::SITE))
-#else
-#define CMK_FAULT(InjPtr, SITE) false
-#endif
+// The hook: true when the site is armed and its schedule fires on this
+// hit.
+#define CMK_FAULT(Inj, SITE)                                                   \
+  ((Inj).armed(::cmk::FaultSite::SITE) &&                                      \
+   (Inj).shouldFail(::cmk::FaultSite::SITE))
 
 #endif // CMARKS_SUPPORT_FAULTS_H

@@ -73,7 +73,7 @@ void VM::reifyCurrentFrame() {
   // Failing fault site: exhaust the heap budget exactly at a reification,
   // the paper's most delicate allocation point (the record and the frame
   // split must both complete out of headroom).
-  if (CMK_FAULT(&Faults, ReifyOom))
+  if (CMK_FAULT(H.faults(), ReifyOom))
     H.injectHeapTrip();
 
   ++Stats.Reifications;
@@ -110,7 +110,7 @@ Value VM::reifyAtSp(ContShot Shot) {
     // empty slice with a stale resume point.
     return Regs.NextK;
   }
-  if (CMK_FAULT(&Faults, ReifyOom))
+  if (CMK_FAULT(H.faults(), ReifyOom))
     H.injectHeapTrip();
   ++Stats.Reifications;
   ++Stats.ReifySplit;
@@ -248,7 +248,7 @@ bool VM::underflow(Value Result) {
     K->setUsed(); // Returning through a one-shot consumes it.
 
   if (K->shot() == ContShot::Opportunistic && K->Seg == Regs.Seg &&
-      K->Hi == Regs.Base && !CMK_FAULT(&Faults, NoFuse)) {
+      K->Hi == Regs.Base && !CMK_FAULT(H.faults(), NoFuse)) {
     // Paper section 6: the split stack is still contiguous with the current
     // one; fuse them back without copying.
     ++Stats.UnderflowFusions;

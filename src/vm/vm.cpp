@@ -33,10 +33,9 @@ VM::VM(const VMConfig &Config) : Cfg(Config) {
   H.attachVMStats(&Stats);
   H.attachTraceBuffer(&Trace);
   H.attachLimits(&Cfg.Limits);
-  H.attachFaults(&Faults);
   H.attachFuel(&FuelLeft);
   H.setSegmentRecycling(Cfg.EnableSegmentRecycling);
-  Faults.attachVMStats(&Stats);
+  H.faults().attachVMStats(&Stats);
   H.addRootSource(this);
   GlobalTable = H.makeHashTable(/*EqualBased=*/false);
   HaltCode = H.makeCode(0, 0, 16, 0, H.intern("#%halt"), {},

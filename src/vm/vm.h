@@ -156,9 +156,9 @@ public:
   /// trace/profile meta-telemetry) into \p R; see support/metrics.h.
   void fillMetrics(MetricsRegistry &R) const;
 
-  /// Per-engine fault injector (support/faults.h). Hooks are compiled in
-  /// only under CMARKS_FAULTS, but configuration is always available.
-  FaultInjector &faults() { return Faults; }
+  /// Per-engine fault injector (support/faults.h), owned by the heap; its
+  /// probes are armed at run time.
+  FaultInjector &faults() { return H.faults(); }
 
   /// The prelude registers its snapshot mark key here (via
   /// #%set-snapshot-key!) so raiseError can attach a stack snapshot.
@@ -344,10 +344,10 @@ public:
   bool ForceOverflowOnce = false;
 
   /// Overflow fault-site hook: when armed and firing, latches
-  /// ForceOverflowOnce and diverts the caller off the fast path. Folds to
-  /// a constant false when CMARKS_FAULTS is off.
+  /// ForceOverflowOnce and diverts the caller off the fast path. Unarmed,
+  /// it costs the call fast path one test of the site's mode.
   bool forcedOverflow() {
-    if (CMK_FAULT(&Faults, Overflow)) {
+    if (CMK_FAULT(H.faults(), Overflow)) {
       ForceOverflowOnce = true;
       return true;
     }
@@ -413,7 +413,6 @@ private:
   bool Running = false;
 
   // Resource governance state.
-  FaultInjector Faults;
   /// Safe-point sites (calls and taken backward branches) until the next
   /// poll. The heap zeroes it through its FuelPoke pointer to force the
   /// next site to poll when a budget trips mid-allocation.

@@ -1,13 +1,13 @@
-//===- support/fuzz.cpp - Differential fuzzing subsystem ------*- C++ -*-===//
+//===- testkit/fuzz.cpp - Differential fuzzing subsystem ------*- C++ -*-===//
 
-#include "support/fuzz.h"
+#include "testkit/fuzz.h"
 
 #include "compiler/expand.h"
-#include "model/heap_model.h"
 #include "reader/reader.h"
 #include "runtime/heap.h"
 #include "runtime/printer.h"
 #include "support/timing.h"
+#include "testkit/heap_model.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -667,13 +667,14 @@ LegOutcome FuzzHarness::runLeg(const FuzzLeg &Leg, const std::string &Source) {
   EngineOptions EO = Leg.Opts;
   EO.VmCfg.Limits.TimeoutMs = Opts.TimeoutMs;
   SchemeEngine E(EO);
-  if (!Leg.FaultSpec.empty()) {
-    std::string Err;
-    if (!E.faults().configureFromSpec(Leg.FaultSpec, &Err)) {
-      Out.Class = OutcomeClass::Error;
-      Out.Repr = "bad fault spec: " + Err;
-      return Out;
-    }
+  // The leg's own schedule replaces whatever CMARKS_FAULT_SPEC armed at
+  // construction; an empty spec disarms every site, so the unfaulted legs
+  // keep checkStatsInvariants' "no injections" meaning under a sweep.
+  std::string Err;
+  if (!E.faults().configureFromSpec(Leg.FaultSpec, &Err)) {
+    Out.Class = OutcomeClass::Error;
+    Out.Repr = "bad fault spec: " + Err;
+    return Out;
   }
   E.resetStats();
   // Optional sampling soak: the profiler must be invisible to the

@@ -1,12 +1,12 @@
-//===- support/fuzz.h - Differential fuzzing subsystem --------*- C++ -*-===//
+//===- testkit/fuzz.h - Differential fuzzing subsystem --------*- C++ -*-===//
 ///
 /// \file
 /// Random-program differential testing over the engine matrix. The paper's
 /// correctness story rests on the equivalence of the optimized runtime
 /// paths (fused superinstructions, 7.2 attachment-category elision, the
 /// one-shot machinery) with the simple semantics; the CEK heap-frame model
-/// in src/model/ already caught one real reification bug via hand-written
-/// differential tests. This subsystem makes that systematic:
+/// (testkit/heap_model.h) already caught one real reification bug via
+/// hand-written differential tests. This subsystem makes that systematic:
 ///
 ///  - ProgramGen: a seeded random Scheme program generator biased toward
 ///    the interesting space -- nested `with-continuation-marks` in tail and
@@ -20,21 +20,23 @@
 ///
 ///  - FuzzHarness: runs every program through a configurable matrix of
 ///    engine legs (fused / unfused / no-opt / no-1cc / heap-frames /
-///    copy-on-capture / heap-model oracle, plus fault-injection schedules
-///    when the build has CMARKS_FAULTS), compares results and error
-///    classifications, re-runs the reference leg to check determinism of
-///    results *and* VMStats counters, validates counter invariants, and on
-///    divergence shrinks the program to a local minimum and emits a
-///    self-contained repro file (tools/fuzz_repro corpus format).
+///    copy-on-capture / heap-model oracle, plus fault-injection
+///    schedules), compares results and error classifications, re-runs the
+///    reference leg to check determinism of results *and* VMStats
+///    counters, validates counter invariants, and on divergence shrinks
+///    the program to a local minimum and emits a self-contained repro
+///    file (tools/fuzz_repro corpus format).
 ///
 /// The CLI driver is tools/fuzz_diff.cpp (`cmarks_fuzz`); the bounded
 /// fixed-seed smoke lives in tests/test_fuzz.cpp and the nightly soak in
-/// .github/workflows/soak.yml. See DESIGN.md section 12.
+/// .github/workflows/soak.yml. See DESIGN.md section 12. This file and the
+/// model are the test kit (library `cmarks_testkit`): only the tests and
+/// `cmarks_fuzz` link them, never an embedder of `cmarks`.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef CMARKS_SUPPORT_FUZZ_H
-#define CMARKS_SUPPORT_FUZZ_H
+#ifndef CMARKS_TESTKIT_FUZZ_H
+#define CMARKS_TESTKIT_FUZZ_H
 
 #include "api/scheme.h"
 #include "support/rng.h"
@@ -162,11 +164,12 @@ struct FuzzLeg {
   std::string Name;
   bool IsOracle = false;
   EngineOptions Opts;
-  /// Fault-injection schedule (support/faults.h spec grammar), armed on
-  /// the leg's engine when non-empty. Requires a CMARKS_FAULTS build to
-  /// have any effect. Preserving schedules (gc/overflow/nofuse) join the
-  /// result comparison; failing schedules (oom/reify-oom) only assert
-  /// that the outcome is a cleanly classified error or value.
+  /// Fault-injection schedule (support/faults.h spec grammar) for the
+  /// leg's engine. It replaces any CMARKS_FAULT_SPEC schedule, so an
+  /// empty spec runs the leg unfaulted. Preserving schedules
+  /// (gc/overflow/nofuse) join the result comparison; failing schedules
+  /// (oom/reify-oom) only assert that the outcome is a cleanly classified
+  /// error or value.
   std::string FaultSpec;
   bool FaultPreserving = true;
   /// Test hook: rewrites the source before this leg evaluates it,
@@ -288,4 +291,4 @@ std::string checkStatsInvariants(const VMStats &S, const EngineOptions &Opts);
 } // namespace fuzz
 } // namespace cmk
 
-#endif // CMARKS_SUPPORT_FUZZ_H
+#endif // CMARKS_TESTKIT_FUZZ_H

@@ -1,6 +1,6 @@
-//===- model/heap_model.cpp - Section 4 reference semantics ----*- C++ -*-===//
+//===- testkit/heap_model.cpp - Section 4 reference semantics --*- C++ -*-===//
 
-#include "model/heap_model.h"
+#include "testkit/heap_model.h"
 
 #include "marks/marks.h"
 #include "runtime/equal.h"

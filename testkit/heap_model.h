@@ -1,4 +1,4 @@
-//===- model/heap_model.h - Section 4 reference semantics ------*- C++ -*-===//
+//===- testkit/heap_model.h - Section 4 reference semantics ----*- C++ -*-===//
 ///
 /// \file
 /// An executable reference model of continuations and marks following
@@ -19,8 +19,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef CMARKS_MODEL_HEAP_MODEL_H
-#define CMARKS_MODEL_HEAP_MODEL_H
+#ifndef CMARKS_TESTKIT_HEAP_MODEL_H
+#define CMARKS_TESTKIT_HEAP_MODEL_H
 
 #include "compiler/ast.h"
 #include "runtime/value.h"
@@ -49,4 +49,4 @@ ModelResult runHeapModel(Heap &H, LambdaNode *Toplevel, uint64_t StepLimit);
 
 } // namespace cmk
 
-#endif // CMARKS_MODEL_HEAP_MODEL_H
+#endif // CMARKS_TESTKIT_HEAP_MODEL_H

@@ -2,16 +2,16 @@
 //
 // The FaultInjector (support/faults.h) counts passes through five probe
 // sites — gc, overflow, nofuse, oom, reify-oom — and fires at configured
-// hit numbers, intervals, or seeded probabilities. Spec parsing and the
-// control API are always compiled; the probes themselves only exist when
-// the library was built with -DCMARKS_FAULTS=ON, so behavioral assertions
-// are gated on that.
+// hit numbers, intervals, or seeded probabilities. Every build compiles
+// the probes in; a site acts only once a schedule arms it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "test_helpers.h"
 
 #include "support/faults.h"
+
+#include <optional>
 
 using namespace cmk;
 
@@ -79,8 +79,6 @@ TEST(FaultSpec, DeterministicGivenSameSeed) {
   EXPECT_EQ(A.injected(FaultSite::Gc), B.injected(FaultSite::Gc));
   EXPECT_GT(A.injected(FaultSite::Gc), 0u);
 }
-
-#if CMARKS_FAULTS
 
 // ------------------------------------------------------- behavioral tests ----
 // Each site has a semantics contract: gc/overflow/nofuse are
@@ -168,20 +166,22 @@ TEST(FaultBehavior, HitsAccumulateAndReportRenders) {
 TEST(FaultBehavior, PreludeLoadIsNeverPerturbed) {
   // Arm an aggressive spec through the environment path: the engine
   // constructor must suspend injection while the prelude loads, so
-  // construction succeeds even with oom:at=1.
-  FaultInjector Probe;
-  ASSERT_TRUE(Probe.configureFromSpec("oom:at=1", nullptr));
-  SchemeEngine E;
-  E.faults().arm(FaultSite::Oom, FaultInjector::Mode::At, 1);
+  // construction succeeds even with oom:at=1, and the first allocation of
+  // the user's program takes the hit instead.
+  std::optional<SchemeEngine> E;
+  {
+    ScopedEnv Spec("CMARKS_FAULT_SPEC", "oom:at=1");
+    E.emplace();
+  }
+  ASSERT_TRUE(E->faults().armed(FaultSite::Oom));
+  EXPECT_EQ(E->faults().hits(FaultSite::Oom), 0u);
   // Long enough to cross a safe point, so the pending trip is delivered.
-  E.eval("(let loop ([i 0] [acc '()])"
-         "  (if (= i 200000) 'done (loop (+ i 1) (cons i acc))))");
-  EXPECT_FALSE(E.ok());
-  EXPECT_EQ(E.lastErrorKind(), ErrorKind::HeapLimit);
-  E.faults().disarmAll();
-  expectEval(E, "(car (cons 1 2))", "1");
+  E->eval("(let loop ([i 0] [acc '()])"
+          "  (if (= i 200000) 'done (loop (+ i 1) (cons i acc))))");
+  EXPECT_FALSE(E->ok());
+  EXPECT_EQ(E->lastErrorKind(), ErrorKind::HeapLimit);
+  EXPECT_EQ(E->faults().injected(FaultSite::Oom), 1u);
+  expectEval(*E, "(car (cons 1 2))", "1");
 }
-
-#endif // CMARKS_FAULTS
 
 } // namespace

@@ -1,7 +1,7 @@
 //===- tests/test_fuzz.cpp - Differential fuzzing subsystem ----*- C++ -*-===//
 ///
 /// \file
-/// Tests for src/support/fuzz.h: generator determinism, the oracle-safe
+/// Tests for testkit/fuzz.h: generator determinism, the oracle-safe
 /// grammar subset, the engine-matrix comparison, the shrinker and repro
 /// pipeline (exercised deterministically via the FuzzLeg::MutateSource
 /// hook, which simulates a miscompiling engine), and the VMStats
@@ -11,9 +11,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/fuzz.h"
+#include "test_helpers.h"
 
-#include <gtest/gtest.h>
+#include "testkit/fuzz.h"
 
 #include <filesystem>
 #include <fstream>
@@ -262,6 +262,38 @@ TEST(FuzzSmoke, FixedSeedCampaignAgrees) {
   EXPECT_EQ(Stats.Programs, 60);
   EXPECT_GT(Stats.OracleChecked, 0);
   EXPECT_GT(Stats.LegRuns, 60 * 6);
+}
+
+TEST(FuzzSmoke, EnvironmentFaultSpecLeavesPlainLegsUnfaulted) {
+  // CMARKS_FAULT_SPEC arms every engine at construction, and the fault
+  // sweep runs this suite under it. Each leg replaces that schedule with
+  // its own, so the plain legs must still inject nothing: the campaign's
+  // stats invariant fails any leg without a schedule that counted an
+  // injected fault.
+  ScopedEnv Spec("CMARKS_FAULT_SPEC", "overflow:p=1,seed=1;nofuse:p=50,seed=1");
+  {
+    // The spec is live: an engine that keeps it does inject.
+    SchemeEngine Armed;
+    Armed.eval("(define (f n)"
+               "  (if (= n 0) (call/cc (lambda (k) 0)) (+ 1 (f (- n 1)))))"
+               "(let loop ([i 0])"
+               "  (if (< i 50) (begin (f 20) (loop (+ i 1)))))");
+    ASSERT_TRUE(Armed.ok()) << Armed.lastError();
+    ASSERT_GT(Armed.stats().FaultsInjected, 0u);
+  }
+  HarnessOptions HO;
+  HO.ShrinkBudget = 0;
+  FuzzHarness H(defaultLegs(/*IncludeOracle=*/false), HO);
+  CampaignStats Stats;
+  std::vector<Divergence> Divs;
+  bool Clean = H.runCampaign(20260807, 20, ProgramGen::Options(), Stats,
+                             Divs);
+  for (const Divergence &D : Divs)
+    ADD_FAILURE() << "divergence (" << D.LegA << " vs " << D.LegB
+                  << "): " << D.Detail << "\n  " << D.Source;
+  EXPECT_TRUE(Clean);
+  EXPECT_EQ(Stats.Divergences, 0);
+  EXPECT_EQ(Stats.Programs, 20);
 }
 
 } // namespace

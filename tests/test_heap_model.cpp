@@ -11,9 +11,9 @@
 #include "test_helpers.h"
 
 #include "compiler/expand.h"
-#include "model/heap_model.h"
 #include "runtime/printer.h"
 #include "support/rng.h"
+#include "testkit/heap_model.h"
 
 using namespace cmk;
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <string>
 
 namespace cmk {
@@ -37,6 +39,29 @@ inline Value readOne(SchemeEngine &E, const std::string &Src) {
   EXPECT_EQ(Forms.size(), 1u);
   return Forms.empty() ? Value::undefined() : Forms[0];
 }
+
+/// Sets environment variable \p Name to \p Value for the guard's
+/// lifetime, then restores its previous value (or unsets it).
+class ScopedEnv {
+public:
+  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
+    if (const char *Old = std::getenv(Name))
+      Saved = Old;
+    setenv(Name, Value, 1);
+  }
+  ~ScopedEnv() {
+    if (Saved)
+      setenv(Name, Saved->c_str(), 1);
+    else
+      unsetenv(Name);
+  }
+  ScopedEnv(const ScopedEnv &) = delete;
+  ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+private:
+  const char *Name;
+  std::optional<std::string> Saved;
+};
 
 } // namespace cmk
 

@@ -15,8 +15,8 @@
 #include "compiler/bytecode.h"
 #include "compiler/compiler.h"
 #include "compiler/expand.h"
-#include "model/heap_model.h"
 #include "runtime/printer.h"
+#include "testkit/heap_model.h"
 
 #include <chrono>
 #include <thread>

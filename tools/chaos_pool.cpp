@@ -16,14 +16,13 @@
 ///   - when escalators are in the mix, at least one supervised worker
 ///     restart is observable in telemetry AND in the merged trace.
 ///
-/// Built with -DCMARKS_FAULTS=ON the same binary doubles as the chaos
-/// leg of the fault campaign: --fault-spec=SPEC (or CMARKS_FAULT_SPEC)
-/// arms deterministic fault schedules inside every worker engine, and
-/// the per-worker salt (FaultInjector::reseed) keeps the fleet from
-/// injecting in lockstep. tools/fault_sweep.py --pool sweeps this
-/// binary across the standard schedules; .github/workflows/ci.yml runs
-/// `chaos_pool --smoke` under ASan, and soak.yml runs a nightly
-/// fresh-seed campaign.
+/// The same binary doubles as the chaos leg of the fault campaign:
+/// --fault-spec=SPEC (or CMARKS_FAULT_SPEC) arms deterministic fault
+/// schedules inside every worker engine, and the per-worker salt
+/// (FaultInjector::reseed) keeps the fleet from injecting in lockstep.
+/// tools/fault_sweep.py --pool sweeps this binary across the standard
+/// schedules; .github/workflows/ci.yml runs `chaos_pool --smoke` under
+/// ASan, and soak.yml runs a nightly fresh-seed campaign.
 ///
 /// Exit codes: 0 all invariants held, 1 an invariant failed, 2 usage or
 /// watchdog timeout.
@@ -204,7 +203,6 @@ void usage() {
       "  --goodput=PCT      minimum healthy success rate (default 90)\n"
       "  --watchdog-sec=N   hang watchdog (default 300)\n"
       "  --fault-spec=SPEC  set CMARKS_FAULT_SPEC for the worker engines\n"
-      "                     (active in -DCMARKS_FAULTS=ON builds)\n"
       "  --report=FILE      write a cmarks-chaos-v1 JSON report\n"
       "  --trace=FILE       write the merged Perfetto timeline\n"
       "  --metrics=FILE     write the pool cmarks-metrics-v1 snapshot\n"

@@ -170,8 +170,7 @@ void printHelp() {
       "                     (folded into --timeout), and work not started\n"
       "                     by the deadline is shed with exit code 5\n"
       "  --fault-report     print fault-injection site summary on exit\n"
-      "                     (sites armed via CMARKS_FAULT_SPEC; probes\n"
-      "                     active in -DCMARKS_FAULTS=ON builds)\n"
+      "                     (sites armed via CMARKS_FAULT_SPEC)\n"
       "  -h, --help         this message\n"
       "With no files or -e options, starts an interactive REPL.\n"
       "Ctrl-C interrupts the running evaluation (catchable as\n"

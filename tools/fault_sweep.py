@@ -4,9 +4,10 @@
 Runs the repository's ctest suite repeatedly, each time with a different
 CMARKS_FAULT_SPEC (see src/support/faults.h), so the semantics-preserving
 fault sites — forced collections, forced segment overflows, disabled
-underflow fusion — are exercised at many reproducible points. A build
-configured with -DCMARKS_FAULTS=ON is required; the sweep refuses to run
-against a build whose probes are compiled out, since every spec would
+underflow fusion — are exercised at many reproducible points. Every build
+compiles the probes in. Before the first leg the sweep checks that a spec
+does fire in this build (`cmarks_repl --fault-report` under gc:every=1 must
+report an injection) and refuses to run otherwise, since every spec would
 vacuously pass.
 
 Tests whose names match the exclusion regex are skipped: those suites
@@ -15,8 +16,10 @@ governance layer itself) that injection legitimately perturbs. Everything
 else must pass at every scheduled site and seed.
 
 Output: a human-readable summary plus a JSON report (schema
-cmarks-fault-sweep-v1) suitable for CI artifacts. Exit status is 0 only
-if every scheduled run passed.
+cmarks-fault-sweep-v1) suitable for CI artifacts. The report is rewritten
+after every leg, so a sweep cut short still leaves the legs it finished;
+each ctest leg records its wall time and its slowest tests. Exit status is
+0 only if every scheduled run passed.
 
 With --pool the sweep drives tools/chaos_pool instead of ctest: each
 scheduled spec is injected into every worker engine of a serving pool
@@ -27,13 +30,14 @@ pool sweep checks that injection plus supervision never wedges or
 miscounts a fleet.
 
 Usage:
-  tools/fault_sweep.py --build-dir build-faults
-  tools/fault_sweep.py --build-dir build-faults --smoke   # CI-sized
-  tools/fault_sweep.py --build-dir build-faults --smoke --pool
+  tools/fault_sweep.py --build-dir build
+  tools/fault_sweep.py --build-dir build --smoke   # CI-sized
+  tools/fault_sweep.py --build-dir build --smoke --pool
 """
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -41,6 +45,13 @@ import time
 from pathlib import Path
 
 SCHEMA = "cmarks-fault-sweep-v1"
+
+# A spec that fires in any working build: every allocation of the probe
+# expression passes the gc site.
+PROBE_SPEC = "gc:every=1"
+
+# How many of a ctest leg's slowest tests its report entry keeps.
+SLOWEST_KEPT = 5
 
 # Suites that assert counter values, trace contents, or limit behavior
 # that fault injection legitimately changes. "Fusion" is excluded for
@@ -140,14 +151,29 @@ def run_chaos_pool(build_dir, spec, jobs_unused, env_base):
     return result, out
 
 
-def faults_enabled(build_dir):
-    cache = Path(build_dir) / "CMakeCache.txt"
-    if not cache.is_file():
-        return False
-    for line in cache.read_text().splitlines():
-        if line.startswith("CMARKS_FAULTS:") and line.rstrip().endswith("=ON"):
-            return True
-    return False
+def probe_injections(build_dir, env_base):
+    """Faults injected by cmarks_repl under PROBE_SPEC (0 when the probe
+    cannot run), so a sweep over this build cannot pass vacuously."""
+    repl = Path(build_dir) / "tools" / "cmarks_repl"
+    env = dict(env_base)
+    env["CMARKS_FAULT_SPEC"] = PROBE_SPEC
+    try:
+        proc = subprocess.run(
+            [str(repl), "--fault-report", "-e", "(length (list 1 2 3))"],
+            env=env, capture_output=True, text=True, timeout=120)
+    except (OSError, subprocess.TimeoutExpired):
+        return 0
+    m = re.search(r"^\s*gc: .*injected=(\d+)", proc.stderr, re.MULTILINE)
+    return int(m.group(1)) if m else 0
+
+
+def slowest_tests(out):
+    """The SLOWEST_KEPT slowest tests of a ctest run, parsed from its
+    per-test lines ("... Test  #12: Name ....   Passed    1.23 sec")."""
+    times = re.findall(r"Test\s+#\d+: (\S+) .*?([\d.]+) sec$", out,
+                       re.MULTILINE)
+    times = sorted(((float(s), name) for name, s in times), reverse=True)
+    return [{"name": name, "seconds": s} for s, name in times[:SLOWEST_KEPT]]
 
 
 def run_ctest(build_dir, spec, exclude, jobs, env_base):
@@ -181,13 +207,13 @@ def run_ctest(build_dir, spec, exclude, jobs, env_base):
         "failed": failed,
         "failed_tests": sorted(set(failed_tests)) if proc.returncode else [],
         "duration_s": round(duration, 2),
+        "slowest_tests": slowest_tests(out),
     }, out
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--build-dir", default="build-faults",
-                    help="CMake build tree configured with -DCMARKS_FAULTS=ON")
+    ap.add_argument("--build-dir", default="build", help="CMake build tree")
     ap.add_argument("--smoke", action="store_true",
                     help="small CI-sized schedule (4 runs)")
     ap.add_argument("--seeds", default="1,2",
@@ -203,9 +229,11 @@ def main():
     args = ap.parse_args()
 
     build_dir = Path(args.build_dir)
-    if not faults_enabled(build_dir):
-        print(f"error: {build_dir} is not configured with -DCMARKS_FAULTS=ON;"
-              " the sweep would vacuously pass", file=sys.stderr)
+    env_base = dict(os.environ)
+    if probe_injections(build_dir, env_base) == 0:
+        print(f"error: {build_dir}/tools/cmarks_repl injected no fault under"
+              f" CMARKS_FAULT_SPEC={PROBE_SPEC}; the sweep would vacuously"
+              " pass", file=sys.stderr)
         return 2
 
     seeds = [int(s) for s in args.seeds.split(",") if s]
@@ -213,10 +241,21 @@ def main():
     default_name = "fault-sweep-pool.json" if args.pool else "fault-sweep.json"
     report_path = Path(args.report) if args.report else build_dir / default_name
 
-    import os
-    env_base = dict(os.environ)
     results = []
     ok = True
+
+    def write_report():
+        report = {
+            "schema": SCHEMA,
+            "build_dir": str(build_dir),
+            "smoke": args.smoke,
+            "mode": "pool" if args.pool else "ctest",
+            "ok": ok,
+            "complete": len(results) == len(runs),
+            "runs": results,
+        }
+        report_path.write_text(json.dumps(report, indent=2) + "\n")
+
     for i, (spec, exclude) in enumerate(runs, 1):
         what = "chaos_pool" if args.pool else "ctest"
         print(f"[{i}/{len(runs)}] {what} CMARKS_FAULT_SPEC={spec!r} ... ",
@@ -247,16 +286,8 @@ def main():
             if args.verbose:
                 print(out)
             sys.stdout.flush()
+        write_report()
 
-    report = {
-        "schema": SCHEMA,
-        "build_dir": str(build_dir),
-        "smoke": args.smoke,
-        "mode": "pool" if args.pool else "ctest",
-        "ok": ok,
-        "runs": results,
-    }
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"{'PASS' if ok else 'FAIL'}: {len(runs)} scheduled specs;"
           f" report written to {report_path}")
     return 0 if ok else 1

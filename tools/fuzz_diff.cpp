@@ -2,7 +2,7 @@
 ///
 /// \file
 /// `cmarks_fuzz`: drives the differential fuzzing subsystem
-/// (src/support/fuzz.h) from the command line. Three modes:
+/// (testkit/fuzz.h) from the command line. Three modes:
 ///
 ///   cmarks_fuzz --seed=N --count=N [options]      # bounded campaign
 ///   cmarks_fuzz --seed=N --time-budget-s=S [...]  # wall-clock soak
@@ -29,7 +29,7 @@
 ///                       which rejects spawn outright
 ///   --fibers            force fiber productions on despite a mark-stack leg
 ///   --faults=SPEC       add a fused-leg clone armed with a preserving
-///                       fault schedule (repeatable; needs CMARKS_FAULTS)
+///                       fault schedule (repeatable)
 ///   --failing-faults=SPEC  same, for failing schedules (oom/reify-oom):
 ///                       outcomes are not compared, only classified
 ///   --timeout-ms=N      per-leg backstop (default 10000)
@@ -48,7 +48,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/fuzz.h"
+#include "testkit/fuzz.h"
 
 #include <cstdio>
 #include <cstring>
@@ -191,12 +191,6 @@ int main(int argc, char **argv) {
     L.FaultPreserving = false;
     Legs.push_back(std::move(L));
   }
-
-#if !CMARKS_FAULTS
-  if (!PreservingFaults.empty() || !FailingFaults.empty())
-    std::fprintf(stderr, "cmarks_fuzz: warning: built without CMARKS_FAULTS; "
-                         "fault schedules are accepted but never fire\n");
-#endif
 
   // The mark-stack comparator rejects spawn, so fiber programs would
   // diverge on that leg by construction; drop them unless forced.
