@@ -245,25 +245,11 @@ void cmk::applyCompositeCont(VM &M, Value KV, Value Arg, bool TailMode) {
         rebaseList(H, asCont(SrcRoot.get())->Marks, Boundary.get(),
                    CurMarks.get());
     GCRoot RebasedRoot(H, Rebased);
-    Value CloneV = H.makeCont();
     ContObj *Src = asCont(SrcRoot.get());
-    ContObj *Clone = asCont(CloneV);
-    Clone->Seg = Src->Seg;
-    Clone->Lo = Src->Lo;
-    Clone->Hi = Src->Hi;
-    Clone->RetFp = Src->RetFp;
-    Clone->RetCode = Src->RetCode;
-    Clone->RetPc = Src->RetPc;
-    Clone->Marks = RebasedRoot.get();
-    Clone->Winders = M.Regs.Winders;
-    Clone->PromptTag = Src->PromptTag;
-    Clone->MarkHeight = static_cast<uint32_t>(M.MarkStack.size());
-    Clone->Next = NewNext.get();
-    Clone->setShot(ContShot::Full);
-    // The source records were promoted (and so pinned) at capture, but
-    // keep the invariant local: every full record pins its segment.
-    if (Clone->Seg.isKind(ObjKind::StackSeg))
-      asStackSeg(Clone->Seg)->H.Flags |= objflags::SegPinned;
+    Value CloneV = M.mintRecord(Src->Seg, Src->Lo, Src->Hi, Src->RetFp,
+                                Src->RetCode, Src->RetPc, RebasedRoot.get(),
+                                NewNext.get(), ContShot::Full);
+    asCont(CloneV)->PromptTag = Src->PromptTag;
     NewNext.set(CloneV);
   }
 

@@ -526,11 +526,6 @@ void Heap::traceObject(ObjHeader *O) {
       K->setShot(ContShot::Full);
       ++Stats.OneShotPromotions;
     }
-    // A full record restores by copying from its segment at an arbitrary
-    // later time, so the segment must never be recycled out from under it:
-    // pin it (sticky; sweep still reclaims it once unreachable).
-    if (K->Seg.isKind(ObjKind::StackSeg))
-      K->Seg.obj()->Flags |= objflags::SegPinned;
     traceValue(K->Seg);
     traceValue(K->RetCode);
     traceValue(K->Marks);

@@ -330,8 +330,14 @@ struct ContObj {
                        ///< call/cc capture only), else #f.
 
   ContShot shot() const { return static_cast<ContShot>(H.Aux & 0xFF); }
+  /// Making a record full pins its segment (set Seg first): a full record
+  /// restores by copying from the segment at an arbitrary later time, so
+  /// the segment must never be recycled eagerly under it. The pin is
+  /// sticky; the sweep still reclaims the segment once it is unreachable.
   void setShot(ContShot S) {
     H.Aux = (H.Aux & ~uint16_t(0xFF)) | static_cast<uint16_t>(S);
+    if (S == ContShot::Full && Seg.isKind(ObjKind::StackSeg))
+      Seg.obj()->Flags |= objflags::SegPinned;
   }
 
   /// Explicit one-shot continuations (call/1cc): using one twice is an

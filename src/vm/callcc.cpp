@@ -26,15 +26,20 @@ void promoteOneShots(VM &M, Value K) {
     CMK_TRACE_EV(M.trace(), OneShotPromote);
     asCont(K)->setShot(ContShot::Full);
     asCont(K)->H.Aux &= ~uint16_t(0x300); // Clear one-shot + used bits.
-    // A full record restores from its segment at an arbitrary later time;
-    // the segment must never be eagerly recycled (sticky pin).
-    if (asCont(K)->Seg.isKind(ObjKind::StackSeg))
-      asStackSeg(asCont(K)->Seg)->H.Flags |= objflags::SegPinned;
     K = asCont(K)->Next;
   }
 }
 
 } // namespace cmk
+
+Value VM::captureOneShot() {
+  Value KV = reifyNativeCall(NativeTailCall);
+  // Do not demote a record that a previous call/cc already promoted to a
+  // full continuation (it may legitimately be used many times).
+  if (asCont(KV)->shot() == ContShot::Opportunistic)
+    asCont(KV)->setExplicitOneShot();
+  return KV;
+}
 
 namespace {
 
@@ -45,17 +50,13 @@ Value copyChainEagerly(VM &M, Value KV) {
   GCRoot Orig(H, KV);
   RootedValues Copies(H);
   for (Value P = KV; P.isCont(); P = asCont(P)->Next) {
-    ContObj *K = asCont(P);
-    uint32_t Len = K->Hi - K->Lo;
     GCRoot PRoot(H, P);
-    Value SegCopy = H.makeStackSeg(Len == 0 ? 1 : Len);
-    K = asCont(PRoot.get());
-    for (uint32_t I = 0; I < Len; ++I)
-      asStackSeg(SegCopy)->Slots[I] = asStackSeg(K->Seg)->Slots[K->Lo + I];
-    GCRoot SegRoot(H, SegCopy);
+    uint32_t Len = asCont(P)->Hi - asCont(P)->Lo;
+    GCRoot SegRoot(H, H.makeStackSeg(Len == 0 ? 1 : Len));
+    copySlice(asCont(P), asStackSeg(SegRoot.get()));
     Value NewKV = H.makeCont();
+    ContObj *K = asCont(PRoot.get());
     ContObj *NewK = asCont(NewKV);
-    K = asCont(PRoot.get());
     NewK->Seg = SegRoot.get();
     NewK->Lo = 0;
     NewK->Hi = Len;
@@ -68,17 +69,6 @@ Value copyChainEagerly(VM &M, Value KV) {
     NewK->PromptTag = K->PromptTag;
     NewK->MarkStackCopy = K->MarkStackCopy;
     NewK->setShot(ContShot::Full);
-    asStackSeg(NewK->Seg)->H.Flags |= objflags::SegPinned;
-    // Rewrite the frame chain to slice-relative indices.
-    if (Len > 0) {
-      StackSegObj *S = asStackSeg(NewK->Seg);
-      uint32_t F = NewK->RetFp;
-      while (F > 0) {
-        uint32_t Old = static_cast<uint32_t>(S->Slots[F + 0].asFixnum());
-        S->Slots[F + 0] = Value::fixnum(Old - asCont(PRoot.get())->Lo);
-        F = Old - asCont(PRoot.get())->Lo;
-      }
-    }
     Copies.push(NewKV);
   }
   // Link the copies.
@@ -144,12 +134,8 @@ Value nativeCallOneShot(VM &M, Value *Args, uint32_t NArgs) {
   CMK_TRACE_EV(M.trace(), Capture, 1);
   uint64_t ReifiedBefore = M.stats().Reifications;
 
-  Value KV = M.reifyNativeCall(M.NativeTailCall);
+  Value KV = M.captureOneShot();
   M.stats().ReifyForCapture += M.stats().Reifications - ReifiedBefore;
-  // Do not demote a record that a previous call/cc already promoted to a
-  // full continuation (it may legitimately be used many times).
-  if (asCont(KV)->shot() == ContShot::Opportunistic)
-    asCont(KV)->setExplicitOneShot();
 
   Value CallArgs[1] = {KV};
   M.scheduleTailCall(Proc.get(), CallArgs, 1);

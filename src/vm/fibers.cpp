@@ -55,33 +55,6 @@ void FiberScheduler::addTimer(Value FV, uint64_t Due) {
   std::push_heap(Timers.begin(), Timers.end(), TimerCmp());
 }
 
-Value FiberScheduler::makeHaltCont(VM &M) {
-  Value KV = M.heap().makeCont();
-  ContObj *K = asCont(KV);
-  // Same shape as the base-frame halt record (VM::installBaseFrame): an
-  // empty nil-segment slice whose return code is the lone Halt
-  // instruction, with no marks, winders, or next record — the isolation
-  // boundary every fresh fiber boots behind.
-  K->Seg = Value::nil();
-  K->Lo = K->Hi = 0;
-  K->RetFp = 0;
-  K->MarkHeight = 0;
-  K->RetCode = M.HaltCode;
-  K->RetPc = Value::fixnum(0);
-  K->setShot(ContShot::Full);
-  return KV;
-}
-
-Value FiberScheduler::captureHere(VM &M) {
-  // The call/1cc capture (vm/callcc.cpp): the park call's continuation.
-  Value KV = M.reifyNativeCall(M.NativeTailCall);
-  // Scheduler resumes are strictly one-shot; marking the record makes a
-  // stray second resume fail with the standard one-shot error.
-  if (asCont(KV)->shot() == ContShot::Opportunistic)
-    asCont(KV)->setExplicitOneShot();
-  return KV;
-}
-
 void FiberScheduler::armBudget(VM &M, FiberObj *F) {
   SliceStartNs = nowNanos();
   if (ResourceAccount *A = F->Account) {
@@ -294,13 +267,12 @@ void FiberScheduler::switchTo(VM &M, Value FV) {
     // marks/winders — the isolation boundary), then tail-call the
     // prelude's #%fiber-boot, which runs the thunk under a catch-all and
     // reports the outcome through #%fiber-finish.
-    Value HaltK = makeHaltCont(M);
-    M.jumpToContinuation(HaltK);
+    M.jumpToContinuation(M.makeHaltRecord());
     // Mirror installBaseFrame: the bottom of the chain must be a halt
     // *record*, not nil — the boot frame is built reified (sentinel
     // header), and a reified frame's NextK must be a record (AttachSet
     // reads its marks unconditionally).
-    M.Regs.NextK = makeHaltCont(M);
+    M.Regs.NextK = M.makeHaltRecord();
     Value Boot = M.getGlobal("#%fiber-boot");
     if (!Boot.isClosure()) {
       M.raiseError("#%fiber-boot is not defined (prelude not loaded)");
@@ -324,10 +296,9 @@ void FiberScheduler::switchTo(VM &M, Value FV) {
 void FiberScheduler::endSlice(VM &M, Value Status) {
   Current = Value::undefined();
   GCRoot SRoot(M.heap(), Status);
-  Value HaltK = makeHaltCont(M);
   // Applying the halt record makes VM::run() return Status: the host
   // worker regains its thread with every parked fiber intact on the heap.
-  M.applyContinuation(HaltK, SRoot.get());
+  M.applyContinuation(M.makeHaltRecord(), SRoot.get());
 }
 
 bool FiberScheduler::dispatchNext(VM &M) {
@@ -360,7 +331,7 @@ void FiberScheduler::yieldCurrent(VM &M) {
     return; // Alone: yield is a no-op, no capture taken.
   Value FV = currentFiber(M);
   GCRoot FRoot(M.heap(), FV);
-  Value KV = captureHere(M);
+  Value KV = M.captureOneShot();
   FiberObj *F = asFiber(FRoot.get());
   F->Cont = KV;
   F->ResumeVal = Value::voidValue();
@@ -379,7 +350,7 @@ void FiberScheduler::parkCurrent(VM &M, uint64_t DueNs) {
   }
   Value FV = currentFiber(M);
   GCRoot FRoot(M.heap(), FV);
-  Value KV = captureHere(M);
+  Value KV = M.captureOneShot();
   FiberObj *F = asFiber(FRoot.get());
   F->Cont = KV;
   F->ResumeVal = Value::voidValue();

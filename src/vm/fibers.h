@@ -201,13 +201,6 @@ private:
   void dropAccount(VM &M, FiberObj *F);
   void wakeJoiners(VM &M, FiberObj *F);
   void addTimer(Value FV, uint64_t Due);
-  /// A full continuation record that resumes at the VM's Halt instruction
-  /// with empty marks/winders: the boot context of every fresh fiber and
-  /// the landing pad of endSlice.
-  Value makeHaltCont(VM &M);
-  /// call/1cc-style capture of the current continuation, marked explicit
-  /// one-shot so a stray double-resume fails with the standard error.
-  Value captureHere(VM &M);
 
   std::deque<Value> RunQueue;     ///< Runnable fibers, FIFO.
   std::vector<TimerEntry> Timers; ///< Min-heap by Due; lazy stale deletion.

@@ -17,20 +17,6 @@ using namespace cmk;
 
 namespace {
 
-/// Segment-recycling bookkeeping for a freshly minted record: an
-/// opportunistic record holds a counted reference to its segment (released
-/// when the record is consumed at underflow); a full record pins the
-/// segment for good, since it may restore from it arbitrarily later.
-void noteRecordRef(ContObj *K) {
-  if (!K->Seg.isKind(ObjKind::StackSeg))
-    return;
-  StackSegObj *S = asStackSeg(K->Seg);
-  if (K->shot() == ContShot::Full)
-    S->H.Flags |= objflags::SegPinned;
-  else
-    ++S->RecordRefs;
-}
-
 /// The underflow handler consumed \p K: drop its counted segment
 /// reference. Full/promoted records keep their pin instead (the guarded
 /// decrement makes a promotion after minting harmless either way).
@@ -43,15 +29,57 @@ void consumeRecordRef(ContObj *K) {
     --S->RecordRefs;
 }
 
-/// A record is being made restorable-at-any-time (call/cc promotion,
-/// explicit application, composable capture): its segment must never be
-/// recycled under it.
-void pinRecordSegment(ContObj *K) {
-  if (K->Seg.isKind(ObjKind::StackSeg))
-    asStackSeg(K->Seg)->H.Flags |= objflags::SegPinned;
+} // namespace
+
+Value VM::mintRecord(Value Seg, uint32_t Lo, uint32_t Hi, uint32_t RetFp,
+                     Value RetCode, Value RetPc, Value Marks, Value Next,
+                     ContShot Shot) {
+  Value KV = H.makeCont();
+  ContObj *K = asCont(KV);
+  K->Seg = Seg;
+  K->Lo = Lo;
+  K->Hi = Hi;
+  K->RetFp = RetFp;
+  K->RetCode = RetCode;
+  K->RetPc = RetPc;
+  K->Marks = Marks;
+  K->Winders = Regs.Winders;
+  K->Next = Next;
+  K->MarkHeight = static_cast<uint32_t>(MarkStack.size());
+  K->setShot(Shot); // A full record pins its segment.
+  // An opportunistic record holds a counted reference to its segment,
+  // released when the underflow handler consumes the record.
+  if (Shot == ContShot::Opportunistic && Seg.isKind(ObjKind::StackSeg))
+    ++asStackSeg(Seg)->RecordRefs;
+  return KV;
 }
 
-} // namespace
+Value VM::makeHaltRecord() {
+  Value KV = H.makeCont();
+  ContObj *K = asCont(KV);
+  // The record covers no slots, so it references no segment: a real Seg
+  // here would pin the base segment against recycling for the whole run.
+  K->RetCode = HaltCode;
+  K->setShot(ContShot::Full);
+  return KV;
+}
+
+void cmk::copySlice(const ContObj *K, StackSegObj *Dst) {
+  uint32_t Len = K->Hi - K->Lo;
+  if (Len == 0)
+    return; // Empty slices (e.g. a halt record, whose Seg is nil).
+  std::memcpy(Dst->Slots, asStackSeg(K->Seg)->Slots + K->Lo,
+              sizeof(Value) * Len);
+  // Rewrite the saved-fp chain to slot-0-relative indices.
+  uint32_t F = K->RetFp - K->Lo;
+  while (F > 0) {
+    uint32_t OldSaved = static_cast<uint32_t>(Dst->Slots[F + 0].asFixnum());
+    CMK_CHECK(OldSaved >= K->Lo && OldSaved < K->Hi,
+              "frame chain escapes the captured slice");
+    Dst->Slots[F + 0] = Value::fixnum(OldSaved - K->Lo);
+    F = OldSaved - K->Lo;
+  }
+}
 
 void VM::maybeRecycleSegment(Value SegV) {
   if (!Cfg.EnableSegmentRecycling || Cfg.MarkStackMode)
@@ -79,22 +107,11 @@ void VM::reifyCurrentFrame() {
   ++Stats.Reifications;
   ++Stats.ReifyTailFrame;
   CMK_TRACE_EV(Trace, ReifyTailFrame);
-  Value KV = H.makeCont();
-  ContObj *K = asCont(KV);
-  S = asStackSeg(Regs.Seg);
-
-  K->Seg = Regs.Seg;
-  K->Lo = Regs.Base;
-  K->Hi = Regs.Fp;
-  K->RetFp = static_cast<uint32_t>(S->Slots[Regs.Fp + 0].asFixnum());
-  K->RetCode = S->Slots[Regs.Fp + 1];
-  K->RetPc = S->Slots[Regs.Fp + 2];
-  K->Marks = Regs.Marks;
-  K->Winders = Regs.Winders;
-  K->Next = Regs.NextK;
-  K->MarkHeight = static_cast<uint32_t>(MarkStack.size());
-  K->setShot(Cfg.EnableOneShots ? ContShot::Opportunistic : ContShot::Full);
-  noteRecordRef(K);
+  Value KV = mintRecord(
+      Regs.Seg, Regs.Base, Regs.Fp,
+      static_cast<uint32_t>(S->Slots[Regs.Fp + 0].asFixnum()),
+      S->Slots[Regs.Fp + 1], S->Slots[Regs.Fp + 2], Regs.Marks, Regs.NextK,
+      Cfg.EnableOneShots ? ContShot::Opportunistic : ContShot::Full);
 
   S->Slots[Regs.Fp + 1] = Value::underflowSentinel();
   S->Slots[Regs.Fp + 2] = Value::fixnum(0);
@@ -115,21 +132,9 @@ Value VM::reifyAtSp(ContShot Shot) {
   ++Stats.Reifications;
   ++Stats.ReifySplit;
   CMK_TRACE_EV(Trace, ReifySplit);
-  Value KV = H.makeCont();
-  ContObj *K = asCont(KV);
-
-  K->Seg = Regs.Seg;
-  K->Lo = Regs.Base;
-  K->Hi = Regs.Sp;
-  K->RetFp = Regs.Fp;
-  K->RetCode = Regs.CurCode;
-  K->RetPc = Value::fixnum(Regs.Pc);
-  K->Marks = Regs.Marks;
-  K->Winders = Regs.Winders;
-  K->Next = Regs.NextK;
-  K->MarkHeight = static_cast<uint32_t>(MarkStack.size());
-  K->setShot(Cfg.EnableOneShots ? Shot : ContShot::Full);
-  noteRecordRef(K);
+  Value KV = mintRecord(Regs.Seg, Regs.Base, Regs.Sp, Regs.Fp, Regs.CurCode,
+                        Value::fixnum(Regs.Pc), Regs.Marks, Regs.NextK,
+                        Cfg.EnableOneShots ? Shot : ContShot::Full);
 
   Regs.Base = Regs.Sp;
   Regs.NextK = KV;
@@ -170,33 +175,16 @@ void VM::moveToFreshSegment(uint32_t Need) {
 /// registers at it. Restores Fp/Sp from the record; the caller sets the
 /// code/pc/marks/winders registers.
 static void restoreByCopy(VM &M, ContObj *K) {
-  uint32_t Len = K->Hi - K->Lo;
   CMK_CHECK(K->Hi >= K->Lo, "corrupt continuation record (hi < lo)");
   // Restored segments are sized to the slice plus a little headroom:
   // underflow copies are on the hot path once the collector has promoted
   // one-shot records (paper 6), so a return through a promoted record must
   // not pay for a full segment. Execution that grows past the headroom
   // overflows into regular segments.
-  uint32_t Cap = Len + 128;
-  Value NewSegV = M.heap().makeStackSeg(Cap); // K stays reachable via Regs.
-  StackSegObj *NewSeg = asStackSeg(NewSegV);
-  // Empty slices (e.g. the base halt record, whose Seg is nil) have
-  // nothing to copy and no frame chain to rewrite.
-  if (Len > 0) {
-    StackSegObj *OldSeg = asStackSeg(K->Seg);
-    std::memcpy(NewSeg->Slots, OldSeg->Slots + K->Lo, sizeof(Value) * Len);
-
-    // Rewrite the saved-fp chain to the new segment's indices.
-    uint32_t F = K->RetFp - K->Lo;
-    while (F > 0) {
-      uint32_t OldSaved =
-          static_cast<uint32_t>(NewSeg->Slots[F + 0].asFixnum());
-      CMK_CHECK(OldSaved >= K->Lo && OldSaved < K->Hi,
-                "frame chain escapes the captured slice");
-      NewSeg->Slots[F + 0] = Value::fixnum(OldSaved - K->Lo);
-      F = OldSaved - K->Lo;
-    }
-  }
+  uint32_t Len = K->Hi - K->Lo;
+  // K stays reachable via Regs.
+  Value NewSegV = M.heap().makeStackSeg(Len + 128);
+  copySlice(K, asStackSeg(NewSegV));
 
   Value VacatedSegV = M.Regs.Seg;
   M.Regs.Seg = NewSegV;
@@ -283,15 +271,14 @@ bool VM::underflow(Value Result) {
 }
 
 /// Makes record \p KV the live continuation for an explicit restore
-/// (continuation application, prompt abort): promotes it, since the record
-/// may be restored again and so must never fuse; pins its segment; copies
-/// its slice; and loads the registers.
+/// (continuation application, prompt abort): promotes it (which pins its
+/// segment), since the record may be restored again and so must never
+/// fuse; copies its slice; and loads the registers.
 static void restoreRecord(VM &M, Value KV) {
   GCRoot KRoot(M.heap(), KV);
   ContObj *K = asCont(KV);
   if (K->shot() == ContShot::Opportunistic)
     K->setShot(ContShot::Full);
-  pinRecordSegment(K);
   restoreByCopy(M, K);
   loadRecordRegisters(M, asCont(KRoot.get()));
 }
@@ -343,24 +330,11 @@ Value VM::makePassThroughRecord() {
   ++Stats.PassThroughRecords;
   Value SegV = H.makeStackSeg(8);
   GCRoot SegRoot(H, SegV);
-  Value KV = H.makeCont();
   StackSegObj *S = asStackSeg(SegRoot.get());
   S->Slots[0] = Value::fixnum(0);
   S->Slots[1] = Value::underflowSentinel();
   S->Slots[2] = Value::fixnum(0);
   S->Slots[3] = Value::False();
-  ContObj *K = asCont(KV);
-  K->Seg = SegRoot.get();
-  K->Lo = 0;
-  K->Hi = FrameHeaderSlots;
-  K->RetFp = 0;
-  K->RetCode = ReturnCode;
-  K->RetPc = Value::fixnum(0);
-  K->Marks = Regs.Marks;
-  K->Winders = Regs.Winders;
-  K->Next = Regs.NextK;
-  K->MarkHeight = static_cast<uint32_t>(MarkStack.size());
-  K->setShot(ContShot::Full);
-  noteRecordRef(K); // Full: pins its own little segment.
-  return KV;
+  return mintRecord(SegRoot.get(), 0, FrameHeaderSlots, 0, ReturnCode,
+                    Value::fixnum(0), Regs.Marks, Regs.NextK, ContShot::Full);
 }

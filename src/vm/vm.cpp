@@ -250,15 +250,12 @@ const char *tripMessage(TripKind T) {
 
 void VM::installBaseFrame(Value Fn, const Value *Args, uint32_t NArgs,
                           uint32_t Slots) {
-  GCRoot FnRoot(H, Fn);
-  RootedValues ArgRoots(H);
-  for (uint32_t I = 0; I < NArgs; ++I)
-    ArgRoots.push(Args[I]);
-
   Value SegV = H.makeStackSeg(Slots);
   Regs.Seg = SegV;
   Regs.Base = 0;
   Regs.Fp = 0;
+  Regs.CurCode = HaltCode;
+  Regs.Pc = 0;
   Regs.Marks = Value::nil();
   Regs.Winders = Value::nil();
   MarkStack.clear();
@@ -266,26 +263,15 @@ void VM::installBaseFrame(Value Fn, const Value *Args, uint32_t NArgs,
   // The bottom of the continuation chain is a record that resumes at a
   // lone Halt instruction, so applying a continuation captured at the base
   // behaves uniformly.
-  Value HaltK = H.makeCont();
-  ContObj *K = asCont(HaltK);
-  // The halt record covers no slots, so it references no segment: a real
-  // Seg here would pin the base segment against recycling for the whole
-  // run (restoreByCopy handles empty nil-Seg slices).
-  K->Seg = Value::nil();
-  K->Lo = K->Hi = 0;
-  K->RetFp = 0;
-  K->RetCode = HaltCode;
-  K->RetPc = Value::fixnum(0);
-  K->setShot(ContShot::Full);
-  Regs.NextK = HaltK;
+  Regs.NextK = makeHaltRecord();
 
   StackSegObj *S = asStackSeg(Regs.Seg);
   S->Slots[0] = Value::fixnum(0);
   S->Slots[1] = Value::underflowSentinel();
   S->Slots[2] = Value::fixnum(0);
-  S->Slots[3] = FnRoot.get();
+  S->Slots[3] = Fn;
   for (uint32_t I = 0; I < NArgs; ++I)
-    S->Slots[FrameHeaderSlots + I] = ArgRoots[I];
+    S->Slots[FrameHeaderSlots + I] = Args[I];
   Regs.Sp = FrameHeaderSlots + NArgs;
 }
 
@@ -429,68 +415,18 @@ Value VM::applyProcedure(Value Fn, const Value *Args, uint32_t NArgs,
   // or the arguments might only be reachable through this call.
   resetGovernance();
 
-  // Resolve native/pending chains until a closure (or plain result).
-  for (;;) {
-    Value F = FnRoot.get();
-    if (F.isClosure())
-      break;
-    if (F.isNative()) {
-      NativeObj *N = asNative(F);
-      if (!checkArity(*this, F, NArgs)) {
-        Ok = false;
-        return Value::undefined();
-      }
-      // Natives invoked outside a run cannot touch continuation state;
-      // give them a scratch frame context.
-      installBaseFrame(F, ArgRoots.values().data(), NArgs,
-                       BaseSlots ? std::max(BaseSlots, FrameHeaderSlots + NArgs)
-                                 : Cfg.SegmentSlots);
-      Regs.CurCode = Value::undefined();
-      Running = true;
-      Value Res =
-          N->Fn(*this, asStackSeg(Regs.Seg)->Slots + FrameHeaderSlots, NArgs);
-      Running = false;
-      if (Failed) {
-        releaseRunState();
-        Ok = false;
-        return Value::undefined();
-      }
-      if (!PendingCall) {
-        Ok = true;
-        return Res;
-      }
-      PendingCall = false;
-      FnRoot.set(PendingFn);
-      ArgRoots.clear();
-      for (Value V : PendingArgs)
-        ArgRoots.push(V);
-      NArgs = static_cast<uint32_t>(PendingArgs.size());
-      continue;
-    }
-    Ok = false;
-    raiseError("apply: not a procedure: " + writeToString(F));
-    return Value::undefined();
-  }
-
-  Value F = FnRoot.get();
-  CodeObj *Code = asCode(asClosure(F)->Code);
-  installBaseFrame(F, ArgRoots.values().data(), NArgs,
-                   BaseSlots ? std::max(BaseSlots, FrameHeaderSlots + NArgs +
-                                                       Code->FrameSize)
-                             : Cfg.SegmentSlots);
-  if (!bindArgs(*this, F, FrameHeaderSlots, NArgs)) {
-    Ok = false;
-    return Value::undefined();
-  }
-  StackSegObj *S = asStackSeg(Regs.Seg);
-  for (uint32_t I = Code->NumArgs; I < Code->NumLocals; ++I)
-    S->Slots[FrameHeaderSlots + I] = Value::undefined();
-  Regs.Sp = FrameHeaderSlots + Code->NumLocals;
-  Regs.CurCode = asClosure(F)->Code;
-  Regs.Pc = 0;
-
+  // The callee's frame sits at the base of a fresh stack and is entered
+  // like any other call; a closure whose frame does not fit overflows
+  // into a segment of its own.
+  installBaseFrame(FnRoot.get(), ArgRoots.values().data(), NArgs,
+                   std::max(BaseSlots ? BaseSlots : Cfg.SegmentSlots,
+                            FrameHeaderSlots + NArgs));
   Running = true;
-  Value Result = run();
+  Value Result = Value::undefined();
+  if (dispatchSlowCall(0, NArgs) == Dispatch::Halt)
+    Result = slot(Regs.Sp - 1);
+  else if (!Failed)
+    Result = run();
   Running = false;
   Ok = !Failed;
   if (Failed)
@@ -1578,6 +1514,48 @@ bool VM::deliverTripFromNative() {
   return true;
 }
 
+/// Applies a callee that is neither a closure nor a native, whose frame
+/// starts at \p Hdr: a continuation, a composable continuation or a
+/// parameter. Anything else raises the non-procedure error. In tail
+/// position (\p Tail) the frame is the current one and the result returns
+/// from it; otherwise the frame is popped and the result is delivered at
+/// the call's resume point.
+static VM::Dispatch applyOtherCallee(VM &M, uint32_t Hdr, uint32_t NArgs,
+                                     bool Tail) {
+  Value *Slots = asStackSeg(M.Regs.Seg)->Slots;
+  Value Fn = Slots[Hdr + 3];
+  if (Fn.isCont() || Fn.isCompositeCont()) {
+    if (NArgs != 1) {
+      M.raiseError(Fn.isCont()
+                       ? "continuation expects 1 argument"
+                       : "composable continuation expects 1 argument");
+      return VM::Dispatch::Done;
+    }
+    Value Arg = Slots[Hdr + FrameHeaderSlots];
+    if (!Tail)
+      M.Regs.Sp = Hdr;
+    if (Fn.isCont())
+      M.applyContinuation(Fn, Arg);
+    else
+      applyCompositeCont(M, Fn, Arg, Tail);
+    return VM::Dispatch::Done;
+  }
+  if (Fn.isParameter()) {
+    if (NArgs != 0) {
+      M.raiseError("parameter accepts no arguments");
+      return VM::Dispatch::Done;
+    }
+    if (!Tail)
+      M.Regs.Sp = Hdr;
+    Value Res = parameterLookup(M, Fn);
+    if (M.failed())
+      return VM::Dispatch::Done;
+    return Tail ? returnFromFrame(M, Res) : deliverNativeResult(M, Res);
+  }
+  M.raiseError("application of non-procedure: " + writeToString(Fn));
+  return VM::Dispatch::Done;
+}
+
 VM::Dispatch VM::finishNativeCall(Value Res) {
   if (Failed)
     return Dispatch::Done;
@@ -1655,42 +1633,7 @@ VM::Dispatch VM::dispatchSlowCall(uint32_t Hdr, uint32_t NArgs) {
       continue;
     }
 
-    if (Fn.isCont()) {
-      if (NArgs != 1) {
-        raiseError("continuation expects 1 argument");
-        return Dispatch::Done;
-      }
-      Value Arg = Slots[Hdr + FrameHeaderSlots];
-      Regs.Sp = Hdr;
-      applyContinuation(Fn, Arg);
-      return Dispatch::Done;
-    }
-
-    if (Fn.isCompositeCont()) {
-      if (NArgs != 1) {
-        raiseError("composable continuation expects 1 argument");
-        return Dispatch::Done;
-      }
-      Value Arg = Slots[Hdr + FrameHeaderSlots];
-      Regs.Sp = Hdr;
-      applyCompositeCont(*this, Fn, Arg, /*TailMode=*/false);
-      return Dispatch::Done;
-    }
-
-    if (Fn.isParameter()) {
-      if (NArgs != 0) {
-        raiseError("parameter accepts no arguments");
-        return Dispatch::Done;
-      }
-      Regs.Sp = Hdr;
-      Value Res = parameterLookup(*this, Fn);
-      if (Failed)
-        return Dispatch::Done;
-      return deliverNativeResult(*this, Res);
-    }
-
-    raiseError("application of non-procedure: " + writeToString(Fn));
-    return Dispatch::Done;
+    return applyOtherCallee(*this, Hdr, NArgs, /*Tail=*/false);
   }
 }
 
@@ -1770,38 +1713,6 @@ VM::Dispatch VM::dispatchSlowTail(uint32_t NArgs) {
       return returnFromFrame(*this, Res);
     }
 
-    if (Fn.isCont()) {
-      if (NArgs != 1) {
-        raiseError("continuation expects 1 argument");
-        return Dispatch::Done;
-      }
-      Value Arg = Slots[Fp + FrameHeaderSlots];
-      applyContinuation(Fn, Arg);
-      return Dispatch::Done;
-    }
-
-    if (Fn.isCompositeCont()) {
-      if (NArgs != 1) {
-        raiseError("composable continuation expects 1 argument");
-        return Dispatch::Done;
-      }
-      Value Arg = Slots[Fp + FrameHeaderSlots];
-      applyCompositeCont(*this, Fn, Arg, /*TailMode=*/true);
-      return Dispatch::Done;
-    }
-
-    if (Fn.isParameter()) {
-      if (NArgs != 0) {
-        raiseError("parameter accepts no arguments");
-        return Dispatch::Done;
-      }
-      Value Res = parameterLookup(*this, Fn);
-      if (Failed)
-        return Dispatch::Done;
-      return returnFromFrame(*this, Res);
-    }
-
-    raiseError("application of non-procedure: " + writeToString(Fn));
-    return Dispatch::Done;
+    return applyOtherCallee(*this, Fp, NArgs, /*Tail=*/true);
   }
 }

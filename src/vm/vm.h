@@ -196,6 +196,28 @@ public:
 
   // --- Continuation machinery (vm/stacks.cpp, vm/callcc.cpp) -----------------
 
+  /// Mints an underflow record for the slice [\p Lo, \p Hi) of \p Seg that
+  /// resumes at \p RetCode / \p RetPc with frame pointer \p RetFp. The
+  /// winders and the mark-stack height come from the registers. A full
+  /// record pins its segment; an opportunistic one counts a reference in
+  /// its segment's RecordRefs. The record is allocated after the arguments
+  /// are read, so every argument must stay reachable across the
+  /// allocation, from the registers or the caller's roots.
+  Value mintRecord(Value Seg, uint32_t Lo, uint32_t Hi, uint32_t RetFp,
+                   Value RetCode, Value RetPc, Value Marks, Value Next,
+                   ContShot Shot);
+
+  /// Mints a fresh halt record: a full record of an empty slice, with no
+  /// segment, marks, winders or next record, that resumes at the lone Halt
+  /// instruction. It ends every run's continuation chain and is the boot
+  /// context of every fresh fiber.
+  Value makeHaltRecord();
+
+  /// The call/1cc capture: reifies the running native call's continuation
+  /// and marks its record explicit one-shot, so a second use fails with
+  /// the standard error. A record a call/cc already promoted stays full.
+  Value captureOneShot();
+
   /// Reifies the current frame's continuation if needed (paper 7.2: tail
   /// attachment operations). After this, Regs frame returns to the
   /// underflow sentinel and NextK is this frame's record.
@@ -358,7 +380,9 @@ private:
   friend class SchemeEngine;
   friend class FiberScheduler;
 
-  /// Starts a fresh stack on a segment of \p Slots slots.
+  /// Starts a fresh stack on a segment of \p Slots slots, with a frame
+  /// for \p Fn applied to \p Args at its base and the halt record below.
+  /// \p Fn and \p Args must stay reachable from the caller's roots.
   void installBaseFrame(Value Fn, const Value *Args, uint32_t NArgs,
                         uint32_t Slots);
 
@@ -441,6 +465,11 @@ void installPromptPrimitives(VM &M);  ///< control/prompts.cpp.
 /// Applies a composable continuation: splices rebased copies of its
 /// captured records onto the current continuation (control/prompts.cpp).
 void applyCompositeCont(VM &M, Value K, Value Arg, bool TailMode);
+
+/// Copies record \p K's slice to slot 0 of \p Dst, which must have room
+/// for it, and rebases its saved-fp chain to the new indices
+/// (vm/stacks.cpp).
+void copySlice(const ContObj *K, StackSegObj *Dst);
 void installMarkPrimitives(VM &M);    ///< marks/: mark frames and sets.
 void installParameterPrimitives(VM &M);
 // installFiberPrimitives lives in vm/fibers.h with the scheduler.

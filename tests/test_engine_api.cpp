@@ -64,6 +64,35 @@ TEST(EngineApi, ApplyReportsArityErrors) {
             std::string::npos);
 }
 
+// apply enters a run through the call dispatcher, so it accepts every
+// value a call inside Scheme accepts and reports the same errors.
+TEST(EngineApi, ApplyAcceptsEveryApplicableValue) {
+  SchemeEngine E;
+  Value Param = E.eval("(define p (make-parameter 7)) p");
+  ASSERT_TRUE(E.ok()) << E.lastError();
+  E.protect(Param);
+  Value R = E.apply(Param, {});
+  ASSERT_TRUE(E.ok()) << E.lastError();
+  EXPECT_EQ(R.asFixnum(), 7);
+
+  E.apply(Value::fixnum(5), {});
+  EXPECT_FALSE(E.ok());
+  EXPECT_EQ(E.lastError(), "application of non-procedure: 5");
+
+  // A native that schedules a call, and one that captures at the base of
+  // the fresh stack.
+  Value List = E.eval("'(1 2 3)");
+  E.protect(List);
+  R = E.apply(E.vm().getGlobal("apply"), {E.vm().getGlobal("+"), List});
+  ASSERT_TRUE(E.ok()) << E.lastError();
+  EXPECT_EQ(R.asFixnum(), 6);
+  Value Escape = E.eval("(lambda (k) (k 42))");
+  E.protect(Escape);
+  R = E.apply(E.vm().getGlobal("#%call/cc"), {Escape});
+  ASSERT_TRUE(E.ok()) << E.lastError();
+  EXPECT_EQ(R.asFixnum(), 42);
+}
+
 TEST(EngineApi, CustomNativeRegistration) {
   SchemeEngine E;
   E.vm().defineNative(
@@ -119,7 +148,7 @@ TEST(EngineApi, StatsAccessible) {
   SchemeEngine E;
   E.evalOrDie("(call/cc (lambda (k) (k 1)))");
   EXPECT_GT(E.vm().stats().ContinuationCaptures, 0u);
-  expectEval(E, "(>= (#%vm-stat 'captures) 1)", "#t");
+  expectEval(E, "(>= (#%vm-stat 'continuation-captures) 1)", "#t");
 }
 
 TEST(EngineApi, PreludeCanBeDisabled) {

@@ -245,7 +245,7 @@ TEST_F(VmCore, ArityErrorsNameTheCallee) {
     EXPECT_EQ(E.lastError(), C.Msg) << C.Src;
   }
 
-  // SchemeEngine::apply checks the count before entering the loop.
+  // SchemeEngine::apply enters through the same dispatcher.
   Value F = E.eval("(define (two a b) a) two");
   ASSERT_TRUE(E.ok()) << E.lastError();
   E.protect(F);
