@@ -1441,9 +1441,26 @@ static VM::Dispatch deliverNativeResult(VM &M, Value Res) {
   return VM::Dispatch::Done;
 }
 
+/// Writes the scheduled call's callee and arguments into the frame whose
+/// header is at \p Hdr and sets sp past them. The frame now holds them, so
+/// the scheduler's roots (PendingFn, PendingArgs) are cleared: left set,
+/// they would keep a finished call's callee and arguments alive until the
+/// next scheduled call.
+static void writePendingCall(VM &M, uint32_t Hdr) {
+  Value *Slots = asStackSeg(M.Regs.Seg)->Slots;
+  uint32_t NArgs = static_cast<uint32_t>(M.PendingArgs.size());
+  Slots[Hdr + 3] = M.PendingFn;
+  for (uint32_t I = 0; I < NArgs; ++I)
+    Slots[Hdr + FrameHeaderSlots + I] = M.PendingArgs[I];
+  M.Regs.Sp = Hdr + FrameHeaderSlots + NArgs;
+  M.PendingFn = Value::undefined();
+  M.PendingArgs.clear();
+}
+
 /// Builds a frame for a pending (scheduled) call at the current stack top.
-/// Returns the header index. Splits to a fresh segment when the header and
-/// arguments would not fit.
+/// Returns the header index; the call's argument count is
+/// Regs.Sp - Hdr - FrameHeaderSlots. Splits to a fresh segment when the
+/// header and arguments would not fit.
 static uint32_t buildPendingFrame(VM &M) {
   uint32_t NArgs = static_cast<uint32_t>(M.PendingArgs.size());
   uint32_t Need = FrameHeaderSlots + NArgs + 64;
@@ -1462,10 +1479,7 @@ static uint32_t buildPendingFrame(VM &M) {
     Slots[Hdr + 1] = M.Regs.CurCode;
     Slots[Hdr + 2] = Value::fixnum(M.Regs.Pc);
   }
-  Slots[Hdr + 3] = M.PendingFn;
-  for (uint32_t I = 0; I < NArgs; ++I)
-    Slots[Hdr + FrameHeaderSlots + I] = M.PendingArgs[I];
-  M.Regs.Sp = Hdr + FrameHeaderSlots + NArgs;
+  writePendingCall(M, Hdr);
   return Hdr;
 }
 
@@ -1485,7 +1499,7 @@ bool VM::injectLimitRaise(TripKind Trip) {
   PendingArgs.push_back(H.makeString(tripMessage(Trip)));
   uint32_t Hdr = buildPendingFrame(*this);
   // A closure call only sets up registers; it cannot halt the run here.
-  dispatchSlowCall(Hdr, static_cast<uint32_t>(PendingArgs.size()));
+  dispatchSlowCall(Hdr, Regs.Sp - Hdr - FrameHeaderSlots);
   return true;
 }
 
@@ -1562,7 +1576,7 @@ VM::Dispatch VM::finishNativeCall(Value Res) {
   if (PendingCall) {
     PendingCall = false;
     uint32_t Hdr = buildPendingFrame(*this);
-    return dispatchSlowCall(Hdr, static_cast<uint32_t>(PendingArgs.size()));
+    return dispatchSlowCall(Hdr, Regs.Sp - Hdr - FrameHeaderSlots);
   }
   if (NativeJumped)
     return Dispatch::Done; // applyContinuation placed the result.
@@ -1629,7 +1643,7 @@ VM::Dispatch VM::dispatchSlowCall(uint32_t Hdr, uint32_t NArgs) {
       // A chain of scheduled calls stays a loop here.
       PendingCall = false;
       Hdr = buildPendingFrame(*this);
-      NArgs = static_cast<uint32_t>(PendingArgs.size());
+      NArgs = Regs.Sp - Hdr - FrameHeaderSlots;
       continue;
     }
 
@@ -1688,8 +1702,7 @@ VM::Dispatch VM::dispatchSlowTail(uint32_t NArgs) {
           // The native replaced the continuation; run the scheduled call
           // in the new context instead of reusing the dead frame.
           uint32_t Hdr = buildPendingFrame(*this);
-          return dispatchSlowCall(Hdr,
-                                  static_cast<uint32_t>(PendingArgs.size()));
+          return dispatchSlowCall(Hdr, Regs.Sp - Hdr - FrameHeaderSlots);
         }
         NArgs = static_cast<uint32_t>(PendingArgs.size());
         if (Regs.Fp + FrameHeaderSlots + NArgs >
@@ -1700,12 +1713,7 @@ VM::Dispatch VM::dispatchSlowTail(uint32_t NArgs) {
           Regs.Sp = Regs.Fp + FrameHeaderSlots;
           moveToFreshSegment(FrameHeaderSlots + NArgs);
         }
-        Slots = asStackSeg(Regs.Seg)->Slots;
-        Fp = Regs.Fp;
-        Slots[Fp + 3] = PendingFn;
-        for (uint32_t I = 0; I < NArgs; ++I)
-          Slots[Fp + FrameHeaderSlots + I] = PendingArgs[I];
-        Regs.Sp = Fp + FrameHeaderSlots + NArgs;
+        writePendingCall(*this, Regs.Fp);
         continue;
       }
       if (NativeJumped)

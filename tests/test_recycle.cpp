@@ -236,6 +236,18 @@ TEST(Recycle, UninternedSymbolsAreCollected) {
   EXPECT_EQ(LiveAfter(18000), After2k);
 }
 
+TEST(Recycle, ScheduledCallArgumentsDieWithTheCall) {
+  // A native's scheduled call keeps its callee and arguments as GC roots
+  // only until they are written into the call's frame; an 80 MB vector
+  // passed through apply must not outlive the call.
+  SchemeEngine E;
+  E.evalOrDie("(define (g)"
+              "  (apply vector-length (list (make-vector 10000000 0))))");
+  expectEval(E, "(g)", "10000000");
+  E.evalOrDie("(collect-garbage)");
+  EXPECT_LT(E.heap().bytesInUse(), 8u << 20);
+}
+
 TEST(Recycle, ReachableGensymsKeepTheirIdentity) {
   // A gensym reachable from a global, or only from a parameter object as
   // its key, survives collections: no later gensym takes over its memory.
