@@ -701,38 +701,39 @@ Value nativeSleepMs(VM &M, Value *Args, uint32_t) {
   return Value::voidValue();
 }
 
-/// (#%vm-stat 'name) exposes runtime counters to tests and benchmarks.
-/// Accepts the short legacy names plus every name in the stats counter
-/// table (support/stats.h).
+/// Calls \p F with the name and value of every counter (runtime-stats)
+/// reports, in its order: the VM counter table (support/stats.h), then the
+/// heap's counters and the trace ring's drop count.
+template <typename Fn> void forEachRuntimeStat(VM &M, Fn F) {
+  const VMStats &S = M.stats();
+  const HeapStats &HS = M.heap().stats();
+  int N = 0;
+  const StatsCounterDesc *Table = statsCounters(N);
+  for (int I = 0; I < N; ++I)
+    F(Table[I].Name, S.*(Table[I].Field));
+  F("gc-collections", HS.Collections);
+  F("gc-one-shot-promotions", HS.OneShotPromotions);
+  F("gc-bytes-allocated", HS.BytesAllocated);
+  // Observability meta-telemetry: a nonzero drop count means the trace
+  // ring wrapped and a Perfetto export holds only the newest window.
+  F("trace-events-dropped", M.trace().dropped());
+}
+
+/// (#%vm-stat 'name) exposes one runtime counter to tests and benchmarks:
+/// any name (runtime-stats) reports, plus mark-stack-size.
 Value nativeVmStat(VM &M, Value *Args, uint32_t) {
   if (!Args[0].isSymbol())
     return typeError(M, "#%vm-stat", "symbol", Args[0]);
   std::string Name = displayToString(Args[0]);
-  const VMStats &S = M.stats();
-  const HeapStats &HS = M.heap().stats();
-  if (Name == "reifications")
-    return Value::fixnum(S.Reifications);
-  if (Name == "fusions")
-    return Value::fixnum(S.UnderflowFusions);
-  if (Name == "underflow-copies")
-    return Value::fixnum(S.UnderflowCopies);
-  if (Name == "captures")
-    return Value::fixnum(S.ContinuationCaptures);
-  if (Name == "applies")
-    return Value::fixnum(S.ContinuationApplies);
-  if (Name == "overflows")
-    return Value::fixnum(S.SegmentOverflows);
-  if (Name == "collections")
-    return Value::fixnum(HS.Collections);
-  if (Name == "gc-one-shot-promotions")
-    return Value::fixnum(HS.OneShotPromotions);
   if (Name == "mark-stack-size")
     return Value::fixnum(M.MarkStack.size());
-  int N = 0;
-  const StatsCounterDesc *Table = statsCounters(N);
-  for (int I = 0; I < N; ++I)
-    if (Name == Table[I].Name)
-      return Value::fixnum(S.*(Table[I].Field));
+  Value Found = Value::undefined();
+  forEachRuntimeStat(M, [&](const char *StatName, uint64_t V) {
+    if (Name == StatName)
+      Found = Value::fixnum(V);
+  });
+  if (!Found.isUndefined())
+    return Found;
   return M.raiseError("#%vm-stat: unknown counter " + Name);
 }
 
@@ -740,23 +741,11 @@ Value nativeVmStat(VM &M, Value *Args, uint32_t) {
 /// event counter plus the GC-side counters, newest schema in
 /// support/stats.h. The alist order matches the counter table.
 Value nativeRuntimeStats(VM &M, Value *, uint32_t) {
-  const VMStats &S = M.stats();
-  const HeapStats &HS = M.heap().stats();
   RootedValues Cells(M.heap());
-  auto AddCounter = [&](const char *Name, uint64_t V) {
+  forEachRuntimeStat(M, [&](const char *Name, uint64_t V) {
     GCRoot Sym(M.heap(), M.heap().intern(Name));
     Cells.push(M.heap().makePair(Sym.get(), Value::fixnum(V)));
-  };
-  int N = 0;
-  const StatsCounterDesc *Table = statsCounters(N);
-  for (int I = 0; I < N; ++I)
-    AddCounter(Table[I].Name, S.*(Table[I].Field));
-  AddCounter("gc-collections", HS.Collections);
-  AddCounter("gc-one-shot-promotions", HS.OneShotPromotions);
-  AddCounter("gc-bytes-allocated", HS.BytesAllocated);
-  // Observability meta-telemetry: a nonzero drop count means the trace
-  // ring wrapped and a Perfetto export holds only the newest window.
-  AddCounter("trace-events-dropped", M.trace().dropped());
+  });
   GCRoot Acc(M.heap(), Value::nil());
   for (size_t I = Cells.size(); I > 0; --I)
     Acc.set(M.heap().makePair(Cells[I - 1], Acc.get()));
